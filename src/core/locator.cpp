@@ -34,6 +34,7 @@ Locator::Instruments Locator::Instruments::resolve(
   in.bootstrapRuns = registry->counter("robust.bootstrap_runs");
   in.inlierFraction = registry->gauge("robust.inlier_fraction");
   in.ellipseAreaCm2 = registry->gauge("robust.ellipse_area_cm2");
+  in.rigHealth = registry->histogram("span.rig_health");
   in.profileEval = registry->histogram("span.profile_eval");
   in.spectrumSearch = registry->histogram("span.spectrum_search");
   in.fix2d = registry->histogram("span.fix2d");
@@ -50,6 +51,14 @@ PowerProfile Locator::timedProfile(const std::vector<Snapshot>& snaps,
                                    const ProfileConfig& cfg) const {
   TAGSPIN_SPAN(obs_.profileEval);
   return PowerProfile(snaps, rig.kinematics, cfg);
+}
+
+SpinSpectrum Locator::timedSpectrum(const std::vector<Snapshot>& snaps,
+                                    const RigSpec& rig,
+                                    const ProfileConfig& cfg) const {
+  PowerProfile profile = timedProfile(snaps, rig, cfg);
+  TAGSPIN_SPAN(obs_.spectrumSearch);
+  return SpinSpectrum(std::move(profile), config_.search.azimuthGridPoints);
 }
 
 AzimuthEstimate Locator::timedAzimuth(const std::vector<Snapshot>& snaps,
@@ -155,14 +164,45 @@ RigDirection Locator::estimateDirection3D(const RigObservation& obs) const {
   return {est.azimuth, est.polar, est.value};
 }
 
+void Locator::bearing2D(const SpinSpectrum& spectrum, RigDirection& direction,
+                        RigBearing& bearing) const {
+  AzimuthEstimate est;
+  {
+    TAGSPIN_SPAN(obs_.spectrumSearch);
+    est = estimateAzimuth(spectrum, config_.search);
+  }
+  direction = {est.azimuth, 0.0, est.value};
+  bearing = diagnoseBearing(spectrum.profile, spectrum.samples, est.azimuth,
+                            est.value, 0.0);
+}
+
+void Locator::bearing3D(const std::vector<Snapshot>& snaps,
+                        const RigSpec& rig, const ProfileConfig& cfg,
+                        RigDirection& direction, RigBearing& bearing) const {
+  const PowerProfile profile = timedProfile(snaps, rig, cfg);
+  SpatialEstimate est;
+  {
+    TAGSPIN_SPAN(obs_.spectrumSearch);
+    est = estimateSpatial(profile, config_.search);
+  }
+  direction = {est.azimuth, est.polar, est.value};
+  // The diagnosis reads the azimuth spectrum at the peak's polar angle, so
+  // the health check's gamma = 0 sweep cannot stand in for it.
+  const std::vector<double> samples =
+      config_.robust.diagnostics
+          ? profile.sampleAzimuth(config_.search.azimuthGridPoints, est.polar)
+          : std::vector<double>{};
+  bearing = diagnoseBearing(profile, samples, est.azimuth, est.value,
+                            est.polar);
+}
+
 Locator::RigBearing Locator::diagnoseBearing(const PowerProfile& profile,
+                                             std::span<const double> samples,
                                              double azimuth, double value,
                                              double gamma) const {
   RigBearing bearing;
   bearing.candidates.push_back({geom::wrapTwoPi(azimuth), value});
   if (!config_.robust.diagnostics) return bearing;
-  const std::vector<double> samples =
-      profile.sampleAzimuth(config_.search.azimuthGridPoints, gamma);
   const double ghost =
       1.0 - profile.weightStats(azimuth, gamma).effectiveFraction;
   bearing.spin = robust::diagnoseSpectrum(samples, ghost,
@@ -259,6 +299,11 @@ geom::Vec2 Locator::intersectBearings(
 }
 
 Fix2D Locator::locate2D(std::span<const RigObservation> observations) const {
+  return locate2D(observations, {});
+}
+
+Fix2D Locator::locate2D(std::span<const RigObservation> observations,
+                        std::span<const SpinSpectrum* const> swept) const {
   if (observations.size() < 2) {
     throw std::invalid_argument("locate2D: need at least two rigs");
   }
@@ -270,23 +315,24 @@ Fix2D Locator::locate2D(std::span<const RigObservation> observations) const {
                   });
 
   // Pass 0: bootstrap directions without calibration (Q formula when the
-  // enhanced profile is configured -- see bootstrapConfig).
+  // enhanced profile is configured -- see bootstrapConfig).  Without a
+  // model it runs the configured profile on the raw snapshots, which is
+  // exactly the sweep the health check already made.
   const ProfileConfig cfg0 =
       anyModel ? bootstrapConfig(config_.profile) : config_.profile;
   Fix2D fix;
-  fix.directions.reserve(observations.size());
-  std::vector<RigBearing> bearings;
-  bearings.reserve(observations.size());
-  for (const RigObservation& obs : observations) {
-    const PowerProfile profile =
-        timedProfile(obs.snapshots, obs.rig, cfg0);
-    AzimuthEstimate est;
-    {
-      TAGSPIN_SPAN(obs_.spectrumSearch);
-      est = estimateAzimuth(profile, config_.search);
+  fix.directions.resize(observations.size());
+  std::vector<RigBearing> bearings(observations.size());
+  for (size_t i = 0; i < observations.size(); ++i) {
+    const SpinSpectrum* const shared =
+        !anyModel && i < swept.size() ? swept[i] : nullptr;
+    if (shared != nullptr) {
+      bearing2D(*shared, fix.directions[i], bearings[i]);
+    } else {
+      const RigObservation& obs = observations[i];
+      bearing2D(timedSpectrum(obs.snapshots, obs.rig, cfg0),
+                fix.directions[i], bearings[i]);
     }
-    fix.directions.push_back({est.azimuth, 0.0, est.value});
-    bearings.push_back(diagnoseBearing(profile, est.azimuth, est.value, 0.0));
   }
   fix.position = intersectBearings(observations, bearings, fix.directions,
                                    fix.estimation, &fix.residualM);
@@ -301,16 +347,8 @@ Fix2D Locator::locate2D(std::span<const RigObservation> observations) const {
         const RigObservation& obs = observations[i];
         const std::vector<Snapshot> snaps = calibrateOrientationAtPosition(
             obs.snapshots, obs.rig, obs.orientation, est3);
-        const PowerProfile profile =
-            timedProfile(snaps, obs.rig, config_.profile);
-        AzimuthEstimate est;
-        {
-          TAGSPIN_SPAN(obs_.spectrumSearch);
-          est = estimateAzimuth(profile, config_.search);
-        }
-        fix.directions[i] = {est.azimuth, 0.0, est.value};
-        bearings[i] =
-            diagnoseBearing(profile, est.azimuth, est.value, 0.0);
+        bearing2D(timedSpectrum(snaps, obs.rig, config_.profile),
+                  fix.directions[i], bearings[i]);
       }
       fix.position = intersectBearings(observations, bearings,
                                        fix.directions, fix.estimation,
@@ -342,20 +380,11 @@ Fix3D Locator::locate3D(std::span<const RigObservation> observations) const {
   const ProfileConfig cfg0 =
       anyModel ? bootstrapConfig(config_.profile) : config_.profile;
   Fix3D fix;
-  fix.directions.reserve(observations.size());
-  std::vector<RigBearing> bearings;
-  bearings.reserve(observations.size());
-  for (const RigObservation& obs : observations) {
-    const PowerProfile profile =
-        timedProfile(obs.snapshots, obs.rig, cfg0);
-    SpatialEstimate est;
-    {
-      TAGSPIN_SPAN(obs_.spectrumSearch);
-      est = estimateSpatial(profile, config_.search);
-    }
-    fix.directions.push_back({est.azimuth, est.polar, est.value});
-    bearings.push_back(
-        diagnoseBearing(profile, est.azimuth, est.value, est.polar));
+  fix.directions.resize(observations.size());
+  std::vector<RigBearing> bearings(observations.size());
+  for (size_t i = 0; i < observations.size(); ++i) {
+    bearing3D(observations[i].snapshots, observations[i].rig, cfg0,
+              fix.directions[i], bearings[i]);
   }
   geom::Vec2 xy = intersectBearings(observations, bearings, fix.directions,
                                     fix.estimation, &fix.residualM);
@@ -369,16 +398,8 @@ Fix3D Locator::locate3D(std::span<const RigObservation> observations) const {
         const RigObservation& obs = observations[i];
         const std::vector<Snapshot> snaps = calibrateOrientationAtPosition(
             obs.snapshots, obs.rig, obs.orientation, est3);
-        const PowerProfile profile =
-            timedProfile(snaps, obs.rig, config_.profile);
-        SpatialEstimate est;
-        {
-          TAGSPIN_SPAN(obs_.spectrumSearch);
-          est = estimateSpatial(profile, config_.search);
-        }
-        fix.directions[i] = {est.azimuth, est.polar, est.value};
-        bearings[i] =
-            diagnoseBearing(profile, est.azimuth, est.value, est.polar);
+        bearing3D(snaps, obs.rig, config_.profile, fix.directions[i],
+                  bearings[i]);
       }
       xy = intersectBearings(observations, bearings, fix.directions,
                              fix.estimation, &fix.residualM);
@@ -525,25 +546,55 @@ std::string unhealthyReason(const RigHealth& h,
   return why.empty() ? "healthy" : why;
 }
 
-/// Shared front half of tryLocate2D/3D: health assessment and rig
-/// selection.  On success `report` has grade/health/used/dropped filled in
-/// (confidence is completed by the caller once directions exist).
-Result<ResilienceReport> selectRigs(std::span<const RigObservation> obs,
-                                    const RigHealthThresholds& thresholds,
-                                    const ProfileConfig& profile,
-                                    const RobustEstimationConfig& robustCfg) {
+/// Outcome of the shared front half of tryLocate2D/3D.  `report` has
+/// grade/health/used/dropped filled in (confidence is completed by the
+/// caller once directions exist); `spectra` holds each rig's sweep on the
+/// search grid, parallel to the input (empty below 2 snapshots).
+struct RigSelection {
+  ResilienceReport report;
+  std::vector<std::optional<SpinSpectrum>> spectra;
+
+  /// The used rigs' sweeps, parallel to report.usedRigs.
+  std::vector<const SpinSpectrum*> usedSpectra() const {
+    std::vector<const SpinSpectrum*> out;
+    out.reserve(report.usedRigs.size());
+    for (size_t i : report.usedRigs) {
+      out.push_back(spectra[i] ? &*spectra[i] : nullptr);
+    }
+    return out;
+  }
+};
+
+/// Health assessment and rig selection.  Each rig's spectrum is swept once,
+/// on the search grid, and the sweep is kept for the bearing search; the
+/// whole per-rig assessment is timed under span.rig_health.
+Result<RigSelection> selectRigs(std::span<const RigObservation> obs,
+                                const RigHealthThresholds& thresholds,
+                                const LocatorConfig& config,
+                                obs::Histogram* healthSpan) {
   if (obs.size() < 2) {
     return Error{ErrorCode::kTooFewRigs,
                  "tryLocate: need at least two rigs, got " +
                      std::to_string(obs.size())};
   }
   const robust::SpinDiagnosticsConfig* diag =
-      robustCfg.diagnostics ? &robustCfg.diagnosticsConfig : nullptr;
-  ResilienceReport report;
+      config.robust.diagnostics ? &config.robust.diagnosticsConfig : nullptr;
+  RigSelection selection;
+  ResilienceReport& report = selection.report;
   report.rigHealth.reserve(obs.size());
-  for (const RigObservation& o : obs) {
-    report.rigHealth.push_back(
-        assessRigHealth(o.snapshots, o.rig.kinematics, profile, diag));
+  selection.spectra.resize(obs.size());
+  for (size_t i = 0; i < obs.size(); ++i) {
+    TAGSPIN_SPAN(healthSpan);
+    const RigObservation& o = obs[i];
+    std::optional<SpinSpectrum>& spectrum = selection.spectra[i];
+    if (o.snapshots.size() >= 2) {
+      spectrum.emplace(PowerProfile(o.snapshots, o.rig.kinematics,
+                                    config.profile),
+                       config.search.azimuthGridPoints);
+    }
+    report.rigHealth.push_back(assessRigHealthFromSweep(
+        o.snapshots, o.rig.kinematics, spectrum ? &*spectrum : nullptr,
+        diag));
   }
 
   std::vector<size_t> healthy;
@@ -591,7 +642,7 @@ Result<ResilienceReport> selectRigs(std::span<const RigObservation> obs,
           unhealthyReason(report.rigHealth[i], thresholds));
     }
   }
-  return report;
+  return selection;
 }
 
 double gradeMultiplier(FixGrade grade) {
@@ -655,15 +706,16 @@ Result<ResilientFix2D> Locator::tryLocate2D(
     const RigHealthThresholds& thresholds) const {
   obs::add(obs_.fix2dAttempts);
   TAGSPIN_SPAN(obs_.fix2d);
-  Result<ResilienceReport> selected =
-      selectRigs(observations, thresholds, config_.profile, config_.robust);
+  Result<RigSelection> selected =
+      selectRigs(observations, thresholds, config_, obs_.rigHealth);
   if (!selected) return selected.error();
+  const std::vector<const SpinSpectrum*> swept = selected->usedSpectra();
   ResilientFix2D out;
-  out.report = std::move(*selected);
+  out.report = std::move(selected->report);
   const std::vector<RigObservation> used =
       subsetObservations(observations, out.report.usedRigs);
   try {
-    out.fix = locate2D(used);
+    out.fix = locate2D(used, swept);
   } catch (const std::exception& e) {
     return Error{ErrorCode::kDegenerateGeometry, e.what()};
   }
@@ -680,11 +732,13 @@ Result<ResilientFix3D> Locator::tryLocate3D(
     const RigHealthThresholds& thresholds) const {
   obs::add(obs_.fix3dAttempts);
   TAGSPIN_SPAN(obs_.fix3d);
-  Result<ResilienceReport> selected =
-      selectRigs(observations, thresholds, config_.profile, config_.robust);
+  // The 3D search sweeps (azimuth, polar) and diagnoses at the peak's polar
+  // angle, so the health sweeps serve the rig selection only.
+  Result<RigSelection> selected =
+      selectRigs(observations, thresholds, config_, obs_.rigHealth);
   if (!selected) return selected.error();
   ResilientFix3D out;
-  out.report = std::move(*selected);
+  out.report = std::move(selected->report);
   const std::vector<RigObservation> used =
       subsetObservations(observations, out.report.usedRigs);
   try {

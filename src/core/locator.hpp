@@ -118,9 +118,9 @@ class Locator {
 
   /// Wire (or unwire, with null) the locator's telemetry: locator.*
   /// counters (attempts, grades, fallbacks, dropped rigs) and the
-  /// span.profile_eval / span.spectrum_search / span.fix2d / span.fix3d
-  /// latency histograms.  Handles resolve once here; the estimation hot
-  /// path never touches the registry's lock.
+  /// span.rig_health / span.profile_eval / span.spectrum_search /
+  /// span.fix2d / span.fix3d latency histograms.  Handles resolve once
+  /// here; the estimation hot path never touches the registry's lock.
   void setMetrics(obs::MetricsRegistry* registry);
 
   /// Azimuth spectrum of a single rig, with iterative orientation
@@ -176,6 +176,7 @@ class Locator {
     obs::Counter* bootstrapRuns = nullptr;      // robust.bootstrap_runs
     obs::Gauge* inlierFraction = nullptr;       // robust.inlier_fraction
     obs::Gauge* ellipseAreaCm2 = nullptr;       // robust.ellipse_area_cm2
+    obs::Histogram* rigHealth = nullptr;       // span.rig_health
     obs::Histogram* profileEval = nullptr;     // span.profile_eval
     obs::Histogram* spectrumSearch = nullptr;  // span.spectrum_search
     obs::Histogram* fix2d = nullptr;           // span.fix2d
@@ -196,6 +197,11 @@ class Locator {
   PowerProfile timedProfile(const std::vector<Snapshot>& snaps,
                             const RigSpec& rig,
                             const ProfileConfig& cfg) const;
+  /// Profile build + sweep on the search grid for one rig, timed under
+  /// span.profile_eval / span.spectrum_search.
+  SpinSpectrum timedSpectrum(const std::vector<Snapshot>& snaps,
+                             const RigSpec& rig,
+                             const ProfileConfig& cfg) const;
   /// Profile build + azimuth (or spatial) search for one rig, timed under
   /// span.profile_eval / span.spectrum_search.
   AzimuthEstimate timedAzimuth(const std::vector<Snapshot>& snaps,
@@ -204,10 +210,27 @@ class Locator {
   SpatialEstimate timedSpatial(const std::vector<Snapshot>& snaps,
                                const RigSpec& rig,
                                const ProfileConfig& cfg) const;
+  /// One rig's 2D bearing from its sweep: refine the grid maximum, then
+  /// diagnose the spin from the same samples.
+  void bearing2D(const SpinSpectrum& spectrum, RigDirection& direction,
+                 RigBearing& bearing) const;
+  /// One rig's 3D bearing: profile build, (azimuth, polar) search, spin
+  /// diagnosis at the peak's polar angle.
+  void bearing3D(const std::vector<Snapshot>& snaps, const RigSpec& rig,
+                 const ProfileConfig& cfg, RigDirection& direction,
+                 RigBearing& bearing) const;
   /// Spin diagnosis + candidate extraction for an already-searched profile
-  /// (no-op single-candidate bearing when diagnostics are disabled).
-  RigBearing diagnoseBearing(const PowerProfile& profile, double azimuth,
+  /// whose azimuth spectrum at `gamma` was sampled on the search grid (no-op
+  /// single-candidate bearing when diagnostics are disabled).
+  RigBearing diagnoseBearing(const PowerProfile& profile,
+                             std::span<const double> samples, double azimuth,
                              double value, double gamma) const;
+  /// locate2D, with pass 0 reading `swept[i]` (when non-null) instead of
+  /// sweeping rig i again: the health check's sweep on the search grid,
+  /// valid because pass 0 without an orientation model uses the same
+  /// profile config on the same snapshots.
+  Fix2D locate2D(std::span<const RigObservation> observations,
+                 std::span<const SpinSpectrum* const> swept) const;
   /// Intersect the (possibly multi-candidate) bearings: consensus voting
   /// for >= 3 rays when enabled, exact two-ray / detailed least squares
   /// otherwise.  Updates `directions` to the chosen candidates and fills

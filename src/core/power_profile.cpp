@@ -6,6 +6,7 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "dsp/grid.hpp"
 #include "geom/angles.hpp"
 
 namespace tagspin::core {
@@ -65,66 +66,98 @@ PowerProfile::PowerProfile(std::span<const Snapshot> snapshots,
   groupCount_ = nextGroup;
 }
 
+namespace {
+
+/// Per-thread buffers of the profile evaluation, grown to the largest
+/// profile the thread has evaluated and reused after that, so evaluating a
+/// direction allocates nothing.  Thread-local: concurrent evaluations (the
+/// fleet's worker pool) share no state.
+struct EvalScratch {
+  std::vector<double> residuals;
+  std::vector<std::complex<double>> phasors;  // e^{J residual}
+  std::vector<std::complex<double>> centroids;
+  std::vector<double> centers;
+  std::vector<std::complex<double>> sums;
+};
+
+EvalScratch& evalScratch() {
+  thread_local EvalScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
 double PowerProfile::evaluate(double phi, double gamma) const {
   return evaluateDirection(phi, std::cos(gamma));
 }
 
-double PowerProfile::evaluateDirection(double phi, double cg) const {
-  const bool enhanced = config_.formula == ProfileFormula::kEnhancedR;
+template <class Visit>
+void PowerProfile::forEachWeight(double phi, double cg, Visit&& visit) const {
+  // The enhanced profile R weights each snapshot's residual against the
+  // steering prediction c_i(phi, gamma) (Defn. 4.1 / 5.1).  Two refinements
+  // over the literal formula, both documented in DESIGN.md:
+  //  * residuals are wrapped to (-pi, pi] (|c_i| exceeds 2*pi for
+  //    r > lambda/4);
+  //  * residuals are centred on their per-group circular mean before
+  //    weighting.  The paper weights around zero, implicitly trusting the
+  //    reference snapshot theta_0; one corrupted reference read would
+  //    shift every residual by a constant and bias the weights toward a
+  //    false direction that absorbs the shift.  Centring restores the
+  //    reference-independence that Q enjoys through |.|.
+  EvalScratch& scratch = evalScratch();
+  const size_t n = entries_.size();
+  const size_t groups = static_cast<size_t>(groupCount_);
+  scratch.residuals.resize(n);
+  scratch.phasors.resize(n);
+  scratch.centroids.assign(groups, std::complex<double>{0.0, 0.0});
+  scratch.centers.assign(groups, 0.0);
   const double cosPhi = std::cos(phi);
   const double sinPhi = std::sin(phi);
-  std::vector<std::complex<double>> sums(
-      static_cast<size_t>(groupCount_), std::complex<double>{0.0, 0.0});
+  const double inv2Sigma2 = 1.0 / (2.0 * sigmaPair_ * sigmaPair_);
+  for (size_t i = 0; i < n; ++i) {
+    const Entry& e = entries_[i];
+    const double cosAmP = e.cosA * cosPhi + e.sinA * sinPhi;
+    const double cosRefmP = e.cosRef * cosPhi + e.sinRef * sinPhi;
+    const double predicted = e.k * radius_ * cg * (cosRefmP - cosAmP);
+    scratch.residuals[i] = geom::wrapToPi(e.relPhase - predicted);
+    scratch.phasors[i] = std::polar(1.0, scratch.residuals[i]);
+    scratch.centroids[static_cast<size_t>(e.group)] += scratch.phasors[i];
+  }
+  for (size_t g = 0; g < groups; ++g) {
+    if (std::abs(scratch.centroids[g]) > 0.0) {
+      scratch.centers[g] = std::arg(scratch.centroids[g]);
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const size_t g = static_cast<size_t>(entries_[i].group);
+    const double centred =
+        geom::wrapToPi(scratch.residuals[i] - scratch.centers[g]);
+    visit(g, std::exp(-centred * centred * inv2Sigma2), scratch.phasors[i]);
+  }
+}
 
-  if (!enhanced) {
+double PowerProfile::evaluateDirection(double phi, double cg) const {
+  std::vector<std::complex<double>>& sums = evalScratch().sums;
+  sums.assign(static_cast<size_t>(groupCount_),
+              std::complex<double>{0.0, 0.0});
+  if (config_.formula == ProfileFormula::kEnhancedR) {
+    // e^{J(relPhase + steer)} = e^{J(residual)} * e^{J k r cg cos(a_0-phi)}
+    // and the group-constant factor drops under |.|, so sum the weighted
+    // residual phasors directly.
+    forEachWeight(phi, cg,
+                  [&](size_t g, double w, const std::complex<double>& phasor) {
+                    sums[g] += w * phasor;
+                  });
+  } else {
+    const double cosPhi = std::cos(phi);
+    const double sinPhi = std::sin(phi);
     for (const Entry& e : entries_) {
       // cos(a_i - phi) from the precomputed components.
       const double cosAmP = e.cosA * cosPhi + e.sinA * sinPhi;
       const double steer = e.k * radius_ * cosAmP * cg;
       sums[static_cast<size_t>(e.group)] += std::polar(1.0, e.relPhase + steer);
     }
-  } else {
-    // Enhanced profile R.  Each snapshot's residual against the steering
-    // prediction c_i(phi, gamma) (Defn. 4.1 / 5.1) is Gaussian-weighted.
-    // Two refinements over the literal formula, both documented in
-    // DESIGN.md:
-    //  * residuals are wrapped to (-pi, pi] (|c_i| exceeds 2*pi for
-    //    r > lambda/4);
-    //  * residuals are centred on their per-group circular mean before
-    //    weighting.  The paper weights around zero, implicitly trusting the
-    //    reference snapshot theta_0; one corrupted reference read would
-    //    shift every residual by a constant and bias the weights toward a
-    //    false direction that absorbs the shift.  Centring restores the
-    //    reference-independence that Q enjoys through |.|.
-    const double inv2Sigma2 = 1.0 / (2.0 * sigmaPair_ * sigmaPair_);
-    std::vector<double> residuals(entries_.size());
-    std::vector<std::complex<double>> centroids(
-        static_cast<size_t>(groupCount_), std::complex<double>{0.0, 0.0});
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      const Entry& e = entries_[i];
-      const double cosAmP = e.cosA * cosPhi + e.sinA * sinPhi;
-      const double cosRefmP = e.cosRef * cosPhi + e.sinRef * sinPhi;
-      const double predicted = e.k * radius_ * cg * (cosRefmP - cosAmP);
-      residuals[i] = geom::wrapToPi(e.relPhase - predicted);
-      centroids[static_cast<size_t>(e.group)] +=
-          std::polar(1.0, residuals[i]);
-    }
-    std::vector<double> center(static_cast<size_t>(groupCount_), 0.0);
-    for (size_t g = 0; g < center.size(); ++g) {
-      if (std::abs(centroids[g]) > 0.0) center[g] = std::arg(centroids[g]);
-    }
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      const Entry& e = entries_[i];
-      const double centred =
-          geom::wrapToPi(residuals[i] - center[static_cast<size_t>(e.group)]);
-      const double w = std::exp(-centred * centred * inv2Sigma2);
-      // e^{J(relPhase + steer)} = e^{J(residual)} * e^{J k r cg cos(a_0-phi)}
-      // and the group-constant factor drops under |.|, so sum residual
-      // phasors directly.
-      sums[static_cast<size_t>(e.group)] += w * std::polar(1.0, residuals[i]);
-    }
   }
-
   double total = 0.0;
   for (const std::complex<double>& s : sums) total += std::abs(s);
   return total / static_cast<double>(entries_.size());
@@ -136,35 +169,12 @@ PowerProfile::WeightStats PowerProfile::weightStats(double phi,
   if (config_.formula != ProfileFormula::kEnhancedR || entries_.empty()) {
     return stats;
   }
-  // Same residual/centring pipeline as the enhanced branch of
-  // evaluateDirection, but reduced to weight statistics.
-  const double cg = std::cos(gamma);
-  const double cosPhi = std::cos(phi);
-  const double sinPhi = std::sin(phi);
-  const double inv2Sigma2 = 1.0 / (2.0 * sigmaPair_ * sigmaPair_);
-  std::vector<double> residuals(entries_.size());
-  std::vector<std::complex<double>> centroids(
-      static_cast<size_t>(groupCount_), std::complex<double>{0.0, 0.0});
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    const Entry& e = entries_[i];
-    const double cosAmP = e.cosA * cosPhi + e.sinA * sinPhi;
-    const double cosRefmP = e.cosRef * cosPhi + e.sinRef * sinPhi;
-    const double predicted = e.k * radius_ * cg * (cosRefmP - cosAmP);
-    residuals[i] = geom::wrapToPi(e.relPhase - predicted);
-    centroids[static_cast<size_t>(e.group)] += std::polar(1.0, residuals[i]);
-  }
-  std::vector<double> center(static_cast<size_t>(groupCount_), 0.0);
-  for (size_t g = 0; g < center.size(); ++g) {
-    if (std::abs(centroids[g]) > 0.0) center[g] = std::arg(centroids[g]);
-  }
   double sum = 0.0, sumSq = 0.0;
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    const double centred = geom::wrapToPi(
-        residuals[i] - center[static_cast<size_t>(entries_[i].group)]);
-    const double w = std::exp(-centred * centred * inv2Sigma2);
-    sum += w;
-    sumSq += w * w;
-  }
+  forEachWeight(phi, std::cos(gamma),
+                [&](size_t, double w, const std::complex<double>&) {
+                  sum += w;
+                  sumSq += w * w;
+                });
   const double n = static_cast<double>(entries_.size());
   stats.meanWeight = sum / n;
   stats.effectiveFraction = sumSq > 0.0 ? (sum * sum) / (n * sumSq) : 0.0;
@@ -173,13 +183,9 @@ PowerProfile::WeightStats PowerProfile::weightStats(double phi,
 
 std::vector<double> PowerProfile::sampleAzimuth(size_t points,
                                                 double gamma) const {
-  std::vector<double> out(points);
-  for (size_t i = 0; i < points; ++i) {
-    out[i] = evaluate(geom::kTwoPi * static_cast<double>(i) /
-                          static_cast<double>(points),
-                      gamma);
-  }
-  return out;
+  const double cg = std::cos(gamma);
+  return dsp::sampleCircular(
+      [&](double phi) { return evaluateDirection(phi, cg); }, points);
 }
 
 }  // namespace tagspin::core

@@ -54,7 +54,9 @@ class PowerProfile {
   /// spinning rig (future-work extension) uses its own plane projection.
   double evaluateDirection(double angle, double scale) const;
 
-  /// Dense sampling over phi in [0, 2*pi) for plotting (Fig. 1, 6, 8).
+  /// Samples over phi on the circular grid of `points`
+  /// (dsp::circularGridAngle), for plotting (Fig. 1, 6, 8) and for the
+  /// spectrum sweep every fix starts from (core::SpinSpectrum).
   std::vector<double> sampleAzimuth(size_t points, double gamma = 0.0) const;
 
   /// How broadly the snapshots support direction (phi, gamma) under the
@@ -87,6 +89,12 @@ class PowerProfile {
     double relPhase = 0.0;    // theta_i - theta_0 of its channel group
     int group = 0;            // channel-group index
   };
+
+  /// The enhanced profile's residual/centring pipeline at one direction:
+  /// calls visit(group, weight, e^{J residual}) per entry, in entry order.
+  /// Shared by evaluateDirection and weightStats.
+  template <class Visit>
+  void forEachWeight(double phi, double cg, Visit&& visit) const;
 
   ProfileConfig config_;
   double radius_ = 0.0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "dsp/peaks.hpp"
 #include "geom/angles.hpp"
@@ -35,21 +36,6 @@ SpectrumQuality assessSpectrumSamples(std::span<const double> samples) {
                     ? peaks[0].value / std::max(peaks[1].value, 1e-12)
                     : std::numeric_limits<double>::infinity();
   return q;
-}
-
-robust::SpinDiagnostics diagnoseSpin(
-    const PowerProfile& profile, size_t gridPoints, double gamma,
-    const robust::SpinDiagnosticsConfig& config) {
-  const std::vector<double> samples =
-      profile.sampleAzimuth(gridPoints, gamma);
-  double ghost = 0.0;
-  if (!samples.empty()) {
-    const double peakPhi = geom::kTwoPi *
-                           static_cast<double>(dsp::argmax(samples)) /
-                           static_cast<double>(samples.size());
-    ghost = 1.0 - profile.weightStats(peakPhi, gamma).effectiveFraction;
-  }
-  return robust::diagnoseSpectrum(samples, ghost, config);
 }
 
 double bearingGdop(std::span<const geom::Ray2> rays, const geom::Vec2& fix) {
@@ -88,10 +74,10 @@ double bearingGdop(std::span<const geom::Ray2> rays, const geom::Vec2& fix) {
                      : std::numeric_limits<double>::infinity();
 }
 
-RigHealth assessRigHealth(std::span<const Snapshot> snapshots,
-                          const RigKinematics& kinematics,
-                          const ProfileConfig& profile,
-                          const robust::SpinDiagnosticsConfig* diagnostics) {
+RigHealth assessRigHealthFromSweep(
+    std::span<const Snapshot> snapshots, const RigKinematics& kinematics,
+    const SpinSpectrum* spectrum,
+    const robust::SpinDiagnosticsConfig* diagnostics) {
   RigHealth h;
   h.snapshotCount = snapshots.size();
   if (snapshots.empty()) return h;
@@ -111,21 +97,31 @@ RigHealth assessRigHealth(std::span<const Snapshot> snapshots,
   int filled = 0;
   for (bool b : occupied) filled += b ? 1 : 0;
   h.arcCoverage = static_cast<double>(filled) / kBins;
-  if (snapshots.size() >= 2) {
-    const PowerProfile p(snapshots, kinematics, profile);
-    constexpr size_t kGridPoints = 720;
-    const std::vector<double> samples = p.sampleAzimuth(kGridPoints);
-    h.spectrum = assessSpectrumSamples(samples);
+  if (spectrum != nullptr) {
+    h.spectrum = assessSpectrumSamples(spectrum->samples);
     if (diagnostics != nullptr) {
-      double ghost = 0.0;
-      const double peakPhi = geom::kTwoPi *
-                             static_cast<double>(dsp::argmax(samples)) /
-                             static_cast<double>(samples.size());
-      ghost = 1.0 - p.weightStats(peakPhi).effectiveFraction;
-      h.spin = robust::diagnoseSpectrum(samples, ghost, *diagnostics);
+      const double ghost =
+          1.0 -
+          spectrum->profile.weightStats(spectrum->gridPeak.azimuth)
+              .effectiveFraction;
+      h.spin = robust::diagnoseSpectrum(spectrum->samples, ghost,
+                                        *diagnostics);
     }
   }
   return h;
+}
+
+RigHealth assessRigHealth(std::span<const Snapshot> snapshots,
+                          const RigKinematics& kinematics,
+                          const ProfileConfig& profile,
+                          const robust::SpinDiagnosticsConfig* diagnostics) {
+  std::optional<SpinSpectrum> spectrum;
+  if (snapshots.size() >= 2) {
+    spectrum.emplace(PowerProfile(snapshots, kinematics, profile),
+                     SearchConfig{}.azimuthGridPoints);
+  }
+  return assessRigHealthFromSweep(
+      snapshots, kinematics, spectrum ? &*spectrum : nullptr, diagnostics);
 }
 
 bool isHealthy(const RigHealth& health,

@@ -16,8 +16,10 @@
 #include <cstddef>
 #include <span>
 
+#include "core/config.hpp"
 #include "core/power_profile.hpp"
 #include "core/snapshot.hpp"
+#include "core/spectrum.hpp"
 #include "geom/ray.hpp"
 #include "robust/spectrum_diag.hpp"
 
@@ -32,19 +34,14 @@ struct SpectrumQuality {
 };
 
 /// Quality of a single rig's azimuth spectrum.
-SpectrumQuality assessSpectrum(const PowerProfile& profile,
-                               size_t gridPoints = 720);
+SpectrumQuality assessSpectrum(
+    const PowerProfile& profile,
+    size_t gridPoints = SearchConfig{}.azimuthGridPoints);
 
-/// Same, over an already-sampled spectrum (samples[i] at angle 2*pi*i/n);
-/// lets callers that also run spin diagnostics sample the profile once.
+/// Same, over an already-sampled spectrum (samples[i] at
+/// dsp::circularGridAngle(i, n)); lets callers that also run spin
+/// diagnostics sample the profile once.
 SpectrumQuality assessSpectrumSamples(std::span<const double> samples);
-
-/// Full spin self-diagnosis of a profile: spectrum-shape diagnostics plus
-/// the ghost-peak score from the profile's likelihood weights at the main
-/// peak (robust/spectrum_diag.hpp describes the verdict ladder).
-robust::SpinDiagnostics diagnoseSpin(
-    const PowerProfile& profile, size_t gridPoints = 720, double gamma = 0.0,
-    const robust::SpinDiagnosticsConfig& config = {});
 
 /// Horizontal GDOP of a set of bearing rays at a candidate fix: the
 /// RMS position error per radian of (independent, unit-variance) bearing
@@ -90,9 +87,22 @@ struct RigHealthThresholds {
   bool rejectQuarantined = true;
 };
 
-/// Assess a rig's snapshots.  Never throws; degenerate inputs simply score
-/// zero everywhere.  `diagnostics` controls whether the spin self-diagnosis
-/// runs (null: skip, verdict stays kAccept).
+/// Assess a rig's snapshots from the spectrum already swept over them
+/// (null when fewer than 2 snapshots: no profile can be built).  Arc
+/// coverage comes from the snapshots; spectrum quality, the ghost score
+/// (the likelihood weights at the grid maximum) and the spin verdict come
+/// from the sweep, on whatever grid it ran (the locator's search grid).
+/// `diagnostics` controls whether the spin self-diagnosis runs (null:
+/// skip, verdict stays kAccept).
+RigHealth assessRigHealthFromSweep(
+    std::span<const Snapshot> snapshots, const RigKinematics& kinematics,
+    const SpinSpectrum* spectrum,
+    const robust::SpinDiagnosticsConfig* diagnostics);
+
+/// assessRigHealthFromSweep, sweeping the profile on the default search grid
+/// (SearchConfig{}.azimuthGridPoints).  Degenerate inputs score zero; a
+/// profile that cannot be built (bad wavelength or kinematics) throws
+/// std::invalid_argument.
 RigHealth assessRigHealth(std::span<const Snapshot> snapshots,
                           const RigKinematics& kinematics,
                           const ProfileConfig& profile = {},

@@ -2,17 +2,33 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "dsp/grid.hpp"
 #include "geom/angles.hpp"
 
 namespace tagspin::core {
 
+SpinSpectrum::SpinSpectrum(PowerProfile p, size_t gridPoints)
+    : profile(std::move(p)), samples(profile.sampleAzimuth(gridPoints)) {
+  const dsp::GridMax1D peak = dsp::argmaxCircular(samples);
+  gridPeak = {peak.x, peak.value};
+}
+
 AzimuthEstimate estimateAzimuth(const PowerProfile& profile,
                                 const SearchConfig& search) {
   const auto best = dsp::maximizeCircular(
       [&](double phi) { return profile.evaluate(phi); },
       search.azimuthGridPoints, search.refineRounds);
+  return {best.x, best.value};
+}
+
+AzimuthEstimate estimateAzimuth(const SpinSpectrum& spectrum,
+                                const SearchConfig& search) {
+  const auto best = dsp::refineCircular(
+      [&](double phi) { return spectrum.profile.evaluate(phi); },
+      dsp::GridMax1D{spectrum.gridPeak.azimuth, spectrum.gridPeak.value},
+      spectrum.samples.size(), search.refineRounds);
   return {best.x, best.value};
 }
 

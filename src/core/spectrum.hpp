@@ -7,6 +7,8 @@
 // scene knowledge, paper section V-B).
 #pragma once
 
+#include <vector>
+
 #include "core/config.hpp"
 #include "core/power_profile.hpp"
 
@@ -23,7 +25,27 @@ struct SpatialEstimate {
   double value = 0.0;
 };
 
+/// One sweep of a rig's azimuth spectrum (gamma = 0) on an n-point grid:
+/// the profile, its samples (samples[i] at dsp::circularGridAngle(i, n))
+/// and the grid maximum.  A fix sweeps each rig once on the search grid
+/// and every consumer reads that sweep: the rig-health check, the grid
+/// phase of the bearing search and the spin diagnosis.
+struct SpinSpectrum {
+  /// Samples `profile` on `gridPoints` (>= 1) points.
+  SpinSpectrum(PowerProfile profile, size_t gridPoints);
+
+  PowerProfile profile;
+  std::vector<double> samples;
+  AzimuthEstimate gridPeak;  // first maximum of `samples`
+};
+
 AzimuthEstimate estimateAzimuth(const PowerProfile& profile,
+                                const SearchConfig& search);
+
+/// The same search over an already-swept spectrum: only the refine rounds
+/// run, from the sweep's grid maximum.  Bit-identical to estimateAzimuth on
+/// spectrum.profile when the sweep ran on search.azimuthGridPoints points.
+AzimuthEstimate estimateAzimuth(const SpinSpectrum& spectrum,
                                 const SearchConfig& search);
 
 /// Same search performed coarse-to-fine; identical result for well-formed

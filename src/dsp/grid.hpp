@@ -8,6 +8,7 @@
 #include <cmath>
 #include <concepts>
 #include <numbers>
+#include <span>
 #include <vector>
 
 namespace tagspin::dsp {
@@ -23,30 +24,42 @@ struct GridMax2D {
   double value = 0.0;
 };
 
-/// Evaluate `f` at `n` uniformly spaced points on [0, 2*pi) and return the
-/// sampled values (used to plot full profiles).
+/// Angle of point i of the n-point uniform grid on [0, 2*pi).  Every
+/// circular grid (sampling, search, spectrum diagnostics) uses this one
+/// formula, so samples taken once can stand in for a search's grid phase.
+inline double circularGridAngle(size_t i, size_t n) {
+  return static_cast<double>(i) *
+         (2.0 * std::numbers::pi / static_cast<double>(n));
+}
+
+/// Evaluate `f` at the n points of the circular grid and return the
+/// sampled values (samples[i] at circularGridAngle(i, n)).
 template <std::invocable<double> F>
 std::vector<double> sampleCircular(F&& f, size_t n) {
   std::vector<double> out(n);
-  const double step = 2.0 * std::numbers::pi / static_cast<double>(n);
-  for (size_t i = 0; i < n; ++i) out[i] = f(static_cast<double>(i) * step);
+  for (size_t i = 0; i < n; ++i) out[i] = f(circularGridAngle(i, n));
   return out;
 }
 
-/// Exhaustive maximisation of `f` over [0, 2*pi) on an n-point grid followed
-/// by `refineRounds` of local 3-point zooming (each round shrinks the bracket
-/// by 4x around the best sample).
-template <std::invocable<double> F>
-GridMax1D maximizeCircular(F&& f, size_t n = 720, int refineRounds = 6) {
-  const double twoPi = 2.0 * std::numbers::pi;
-  const double step = twoPi / static_cast<double>(n);
-  GridMax1D best{0.0, f(0.0)};
-  for (size_t i = 1; i < n; ++i) {
-    const double x = static_cast<double>(i) * step;
-    const double v = f(x);
-    if (v > best.value) best = {x, v};
+/// Grid phase of maximizeCircular: the first maximum of a circular-grid
+/// sample (at least one sample required).
+inline GridMax1D argmaxCircular(std::span<const double> samples) {
+  GridMax1D best{0.0, samples[0]};
+  for (size_t i = 1; i < samples.size(); ++i) {
+    if (samples[i] > best.value) {
+      best = {circularGridAngle(i, samples.size()), samples[i]};
+    }
   }
-  double halfSpan = step;
+  return best;
+}
+
+/// Refine phase of maximizeCircular: `refineRounds` of local 3-point
+/// zooming around a grid maximum of the n-point grid (each round halves
+/// the bracket, starting at one grid step), wrapped to [0, 2*pi).
+template <std::invocable<double> F>
+GridMax1D refineCircular(F&& f, GridMax1D best, size_t n, int refineRounds) {
+  const double twoPi = 2.0 * std::numbers::pi;
+  double halfSpan = twoPi / static_cast<double>(n);
   for (int round = 0; round < refineRounds; ++round) {
     const double candidates[4] = {best.x - halfSpan, best.x - halfSpan / 2.0,
                                   best.x + halfSpan / 2.0, best.x + halfSpan};
@@ -58,6 +71,14 @@ GridMax1D maximizeCircular(F&& f, size_t n = 720, int refineRounds = 6) {
   }
   best.x = std::fmod(best.x + twoPi, twoPi);
   return best;
+}
+
+/// Exhaustive maximisation of `f` over [0, 2*pi) on an n-point grid (n >= 1)
+/// followed by `refineRounds` of local zooming.
+template <std::invocable<double> F>
+GridMax1D maximizeCircular(F&& f, size_t n = 720, int refineRounds = 6) {
+  return refineCircular(f, argmaxCircular(sampleCircular(f, n)), n,
+                        refineRounds);
 }
 
 /// Maximisation over the rectangle [0, 2*pi) x [ymin, ymax] on an

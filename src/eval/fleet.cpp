@@ -137,6 +137,9 @@ runtime::FleetConfig FleetEvalConfig::defaultFleetConfig() {
   // full spin arc at reduced density; a coarser azimuth grid with fewer
   // refine rounds still converges to centimetres; the angle spectrum and
   // spin diagnostics are luxuries a 500-session box can't afford per fix.
+  // The rig-health check follows the search grid (one 180-point sweep per
+  // rig, which the bearing search then only refines), so the fix
+  // confidence is read from that 180-point spectrum.
   fc.supervisor.maxSnapshotsPerTag = 400;
   fc.supervisor.checkpointSpectrumPoints = 0;
   fc.supervisor.locator.search.azimuthGridPoints = 180;

@@ -8,6 +8,7 @@
 #include <thread>
 #include <utility>
 
+#include "obs/span.hpp"
 #include "runtime/checkpoint.hpp"
 
 namespace tagspin::runtime {
@@ -200,6 +201,7 @@ FleetManager::Instruments FleetManager::Instruments::resolve(
   in.fixesSkippedShed = registry->counter("fleet.fixes_skipped_shed");
   in.checkpointWrites = registry->counter("fleet.checkpoint_writes");
   in.checkpointFailures = registry->counter("fleet.checkpoint_failures");
+  in.checkpointSpan = registry->histogram("span.checkpoint_write");
   in.shedLevel = registry->gauge("fleet.shed_level");
   in.memDenied = registry->counter("fleet.mem_denied");
   in.memTrims = registry->counter("fleet.mem_trims");
@@ -784,8 +786,11 @@ void FleetManager::writeShardCheckpoint(Shard& shard, double nowS) {
     return;
   }
   try {
-    core::writeFileDurable(core::resolveIo(config_.io),
-                           shardCheckpointPath(shard.index), framed);
+    {
+      TAGSPIN_SPAN(obs_.checkpointSpan);
+      core::writeFileDurable(core::resolveIo(config_.io),
+                             shardCheckpointPath(shard.index), framed);
+    }
     ++shard.counters.checkpointWrites;
     obs::add(obs_.checkpointWrites);
   } catch (const std::exception& e) {

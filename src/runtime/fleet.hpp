@@ -304,6 +304,7 @@ class FleetManager {
     obs::Counter* fixesSkippedShed = nullptr;
     obs::Counter* checkpointWrites = nullptr;
     obs::Counter* checkpointFailures = nullptr;
+    obs::Histogram* checkpointSpan = nullptr;  // span.checkpoint_write
     obs::Gauge* shedLevel = nullptr;
     obs::Counter* memDenied = nullptr;       // fleet.mem_denied
     obs::Counter* memTrims = nullptr;        // fleet.mem_trims

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 
 #include "geom/angles.hpp"
 #include "synthetic.hpp"
@@ -116,6 +117,41 @@ TEST(RigHealth, CleanTraceIsHealthy) {
   EXPECT_GT(h.arcCoverage, 0.95);
   EXPECT_GT(h.spectrum.peakValue, 0.5);
   EXPECT_TRUE(isHealthy(h, RigHealthThresholds{}));
+}
+
+TEST(RigHealth, SweptHealthFollowsTheSweepGrid) {
+  SyntheticConfig sc;
+  sc.readerAzimuth = 0.7;
+  sc.noiseStd = 0.15;
+  sc.outlierProb = 0.1;
+  const auto snaps = makeSnapshots(sc);
+  const robust::SpinDiagnosticsConfig diag;
+  // On the default grid the swept form is the 4-argument wrapper.
+  const SpinSpectrum fine(PowerProfile(snaps, defaultKinematics(), {}),
+                          SearchConfig{}.azimuthGridPoints);
+  const RigHealth a =
+      assessRigHealthFromSweep(snaps, defaultKinematics(), &fine, &diag);
+  const RigHealth b =
+      assessRigHealth(snaps, defaultKinematics(), ProfileConfig{}, &diag);
+  EXPECT_EQ(a.spectrum.peakValue, b.spectrum.peakValue);
+  EXPECT_EQ(a.spectrum.halfPowerWidthDeg, b.spectrum.halfPowerWidthDeg);
+  EXPECT_EQ(a.spectrum.peakRatio, b.spectrum.peakRatio);
+  EXPECT_EQ(a.spin.ghostScore, b.spin.ghostScore);
+  EXPECT_EQ(a.spin.verdict, b.spin.verdict);
+  EXPECT_EQ(a.arcCoverage, b.arcCoverage);
+  // On a coarser sweep the spectrum quality is read at that resolution.
+  const SpinSpectrum coarse(fine.profile, 180);
+  const RigHealth c =
+      assessRigHealthFromSweep(snaps, defaultKinematics(), &coarse, nullptr);
+  const SpectrumQuality q = assessSpectrumSamples(coarse.samples);
+  EXPECT_EQ(c.spectrum.peakValue, q.peakValue);
+  EXPECT_EQ(c.spectrum.halfPowerWidthDeg, q.halfPowerWidthDeg);
+  EXPECT_EQ(c.spin.verdict, robust::SpinVerdict::kAccept);  // not diagnosed
+  // No sweep (fewer than 2 snapshots): coverage only.
+  const RigHealth none = assessRigHealthFromSweep(
+      std::span(snaps).first(1), defaultKinematics(), nullptr, &diag);
+  EXPECT_EQ(none.snapshotCount, 1u);
+  EXPECT_EQ(none.spectrum.peakValue, 0.0);
 }
 
 TEST(RigHealth, ContiguousDropoutLowersArcCoverage) {

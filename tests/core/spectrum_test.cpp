@@ -17,6 +17,35 @@ using testing::SyntheticConfig;
 using testing::defaultKinematics;
 using testing::makeSnapshots;
 
+TEST(SpinSpectrum, PresampledSearchEqualsFreshSearch) {
+  // The sweep is the fresh search's grid phase: refining its maximum must
+  // give the fresh search's answer bit for bit, on any grid.
+  SyntheticConfig sc;
+  sc.readerAzimuth = 5.1;
+  sc.noiseStd = 0.2;
+  sc.outlierProb = 0.05;
+  const auto snaps = makeSnapshots(sc);
+  for (const ProfileFormula formula :
+       {ProfileFormula::kEnhancedR, ProfileFormula::kRelativeQ}) {
+    ProfileConfig pc;
+    pc.formula = formula;
+    const PowerProfile profile(snaps, defaultKinematics(), pc);
+    for (const auto& [grid, rounds] : {std::pair{size_t{720}, 6},
+                                       std::pair{size_t{180}, 4},
+                                       std::pair{size_t{97}, 5}}) {
+      SearchConfig search;
+      search.azimuthGridPoints = grid;
+      search.refineRounds = rounds;
+      const SpinSpectrum spectrum(profile, grid);
+      EXPECT_EQ(spectrum.samples, profile.sampleAzimuth(grid));
+      const AzimuthEstimate fresh = estimateAzimuth(profile, search);
+      const AzimuthEstimate shared = estimateAzimuth(spectrum, search);
+      EXPECT_EQ(shared.azimuth, fresh.azimuth) << grid;
+      EXPECT_EQ(shared.value, fresh.value) << grid;
+    }
+  }
+}
+
 TEST(EstimateAzimuth, FindsTruthUnderNoise) {
   SyntheticConfig sc;
   sc.readerAzimuth = 4.0;

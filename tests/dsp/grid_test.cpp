@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 #include "geom/angles.hpp"
 
@@ -45,6 +46,28 @@ INSTANTIATE_TEST_SUITE_P(PeakPositions, CircularMaxSweep,
                          ::testing::Values(0.0, 0.01, 1.0, 2.2,
                                            std::numbers::pi, 4.4, 6.0,
                                            kTwoPi - 0.01));
+
+TEST(MaximizeCircular, IsGridPhaseThenRefinePhase) {
+  // A presampled grid refined separately is the exhaustive search.
+  auto f = [](double x) { return std::sin(3.0 * x) + 0.4 * std::cos(x - 2.0); };
+  for (size_t n : {7u, 180u, 720u}) {
+    const std::vector<double> samples = sampleCircular(f, n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(samples[i], f(circularGridAngle(i, n)));
+    }
+    const GridMax1D split = refineCircular(f, argmaxCircular(samples), n, 5);
+    const GridMax1D whole = maximizeCircular(f, n, 5);
+    EXPECT_EQ(split.x, whole.x);
+    EXPECT_EQ(split.value, whole.value);
+  }
+}
+
+TEST(ArgmaxCircular, FirstMaximumWins) {
+  const std::vector<double> samples{1.0, 3.0, 2.0, 3.0};
+  const GridMax1D best = argmaxCircular(samples);
+  EXPECT_EQ(best.x, circularGridAngle(1, 4));
+  EXPECT_EQ(best.value, 3.0);
+}
 
 TEST(MaximizeCircular, ResultInRange) {
   auto f = [](double x) { return std::cos(x - 6.1); };

@@ -11,9 +11,12 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/power_profile.hpp"
 #include "geom/angles.hpp"
+#include "obs/metrics.hpp"
 #include "rfid/llrp.hpp"
 
 namespace tagspin::runtime {
@@ -325,6 +328,35 @@ TEST(Fleet, MultiShardKillAndRestoreRecoversEverySession) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Fleet, ShardCheckpointWritesAreTimedUnderCheckpointSpan) {
+  // In fleet mode the shard writes the checkpoints, not the supervisors;
+  // every write must still land in span.checkpoint_write.
+  const std::string dir = tempDir("tagspin_fleet_checkpoint_span");
+  obs::MetricsRegistry registry;
+  FleetConfig config = testFleetConfig();
+  config.shards = 2;
+  config.maxSessions = 4;
+  config.checkpointDir = dir;
+  config.checkpointIntervalS = 0.5;
+  config.metrics = &registry;
+  {
+    FleetManager fleet(config, twoRigDeployment());
+    for (int i = 0; i < 4; ++i) {
+      fleet.registerSession("s" + std::to_string(i), [i] {
+        auto t = std::make_unique<OneShotTransport>();
+        t->frame = frameWith(i + 1, 10.0 * i);
+        return t;
+      });
+    }
+    for (int tick = 0; tick <= 30; ++tick) fleet.tick(0.1 * tick);
+    fleet.shutdown(3.1);
+  }
+  const uint64_t writes = registry.counter("fleet.checkpoint_writes")->value();
+  EXPECT_GE(writes, 8u);  // ~5 per shard on the interval, +1 at shutdown
+  EXPECT_EQ(registry.histogram("span.checkpoint_write")->count(), writes);
+  std::filesystem::remove_all(dir);
+}
+
 /// Connects instantly, idles until deliverAtS, then delivers one prebuilt
 /// frame and idles forever.  Lets a test measure the fleet's pre-growth
 /// memory footprint before the frame lands.
@@ -526,6 +558,45 @@ std::pair<std::vector<FleetManager::SessionView>, FleetStats> runMixedFleet(
   }
   for (double t = 0.0; t <= 12.0 + 1e-9; t += 0.1) fleet.tick(t);
   return {fleet.sessions(), fleet.stats()};
+}
+
+TEST(Fleet, ConcurrentProfileEvaluationMatchesSerial) {
+  // Pool workers evaluate power profiles concurrently (one profile per fix,
+  // or one shared profile); the evaluation's scratch buffers must not be
+  // shared between threads.  Under `ctest -L tsan` this is the race check.
+  std::vector<core::Snapshot> snaps;
+  for (int i = 0; i < 300; ++i) {
+    core::Snapshot s;
+    s.timeS = 0.05 * i;
+    s.phaseRad = geom::wrapTwoPi(0.37 * i + 0.01 * i * i);
+    s.lambdaM = 0.32 + 0.001 * (i % 3);
+    s.channel = i % 3;
+    snaps.push_back(s);
+  }
+  const core::RigKinematics kin{0.1, 0.5, 0.0, geom::kPi / 2.0};
+  const core::PowerProfile shared(snaps, kin, {});
+  const std::vector<double> serial = shared.sampleAzimuth(360);
+  std::vector<std::vector<double>> results(4);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < results.size(); ++t) {
+    threads.emplace_back([&, t] {
+      const core::PowerProfile own(snaps, kin, {});
+      std::vector<double> mine(serial.size());
+      for (size_t i = 0; i < serial.size(); ++i) {
+        const double phi = geom::kTwoPi * static_cast<double>(i) / 360.0;
+        mine[i] = (i + t) % 2 == 0 ? shared.evaluate(phi) : own.evaluate(phi);
+        (void)own.weightStats(phi);
+      }
+      results[t] = std::move(mine);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (const std::vector<double>& r : results) {
+    for (size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(r[i], shared.evaluate(geom::kTwoPi *
+                                      static_cast<double>(i) / 360.0));
+    }
+  }
 }
 
 TEST(Fleet, WorkerPoolMatchesInlineExecutionExactly) {
