@@ -1,8 +1,11 @@
 // Microbenchmarks of the hot paths (google-benchmark): profile evaluation,
 // azimuth spectrum search (exhaustive vs coarse-to-fine), the 3D spatial
-// search, and the end-to-end 2D fix.
+// search, and the end-to-end 2D fix.  The profile benches report
+// items_per_second in snapshot-evaluations (profile evaluations x
+// snapshots), the unit of the kernel's throughput.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <random>
 
 #include "core/locator.hpp"
@@ -69,6 +72,21 @@ void BM_EvaluateR(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluateR)->Arg(256)->Arg(1024)->Arg(2500);
 
+// One 3D direction (phi, gamma) of the enhanced profile, as the spatial
+// search evaluates it.
+void BM_EvaluateR3D(benchmark::State& state) {
+  const auto snaps = makeSnapshots(static_cast<size_t>(state.range(0)), 1.0);
+  const core::PowerProfile profile(snaps, kKin, {});
+  double phi = 0.0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(profile.evaluate(phi, 0.4));
+    phi += 0.01;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(snaps.size()));
+}
+BENCHMARK(BM_EvaluateR3D)->Arg(512)->Arg(1024);
+
 void BM_AzimuthSearchExhaustive(benchmark::State& state) {
   const auto snaps = makeSnapshots(1024, 1.0);
   const core::PowerProfile profile(snaps, kKin, {});
@@ -90,9 +108,18 @@ BENCHMARK(BM_AzimuthSearchCoarseFine);
 void BM_SpatialSearch3D(benchmark::State& state) {
   const auto snaps = makeSnapshots(1024, 1.0);
   const core::PowerProfile profile(snaps, kKin, {});
+  const core::SearchConfig search;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::estimateSpatial(profile, {}));
+    benchmark::DoNotOptimize(core::estimateSpatial(profile, search));
   }
+  // The half-plane grid plus 24 neighbours per refine round (an upper
+  // bound: neighbours outside the polar range are skipped).
+  const int64_t grid =
+      static_cast<int64_t>(search.azimuthGridPoints / 2) *
+      static_cast<int64_t>(std::max<size_t>(search.polarGridPoints / 2, 2));
+  const int64_t evals = 1 + grid + 24 * search.refineRounds;
+  state.SetItemsProcessed(state.iterations() * evals *
+                          static_cast<int64_t>(snaps.size()));
 }
 BENCHMARK(BM_SpatialSearch3D);
 

@@ -37,6 +37,9 @@ Locator::Instruments Locator::Instruments::resolve(
   in.rigHealth = registry->histogram("span.rig_health");
   in.profileEval = registry->histogram("span.profile_eval");
   in.spectrumSearch = registry->histogram("span.spectrum_search");
+  in.diagnose = registry->histogram("span.diagnose");
+  in.consensus = registry->histogram("span.consensus");
+  in.bootstrap = registry->histogram("span.bootstrap");
   in.fix2d = registry->histogram("span.fix2d");
   in.fix3d = registry->histogram("span.fix3d");
   return in;
@@ -172,6 +175,7 @@ void Locator::bearing2D(const SpinSpectrum& spectrum, RigDirection& direction,
     est = estimateAzimuth(spectrum, config_.search);
   }
   direction = {est.azimuth, 0.0, est.value};
+  TAGSPIN_SPAN(obs_.diagnose);
   bearing = diagnoseBearing(spectrum.profile, spectrum.samples, est.azimuth,
                             est.value, 0.0);
 }
@@ -186,6 +190,7 @@ void Locator::bearing3D(const std::vector<Snapshot>& snaps,
     est = estimateSpatial(profile, config_.search);
   }
   direction = {est.azimuth, est.polar, est.value};
+  TAGSPIN_SPAN(obs_.diagnose);
   // The diagnosis reads the azimuth spectrum at the peak's polar angle, so
   // the health check's gamma = 0 sweep cannot stand in for it.
   const std::vector<double> samples =
@@ -245,8 +250,11 @@ geom::Vec2 Locator::intersectBearings(
       candidates[i].origin = observations[i].rig.center.xy();
       candidates[i].candidates = bearings[i].candidates;
     }
-    const auto consensus = robust::consensusIntersection(
-        candidates, config_.robust.consensusConfig);
+    const auto consensus = [&] {
+      TAGSPIN_SPAN(obs_.consensus);
+      return robust::consensusIntersection(candidates,
+                                           config_.robust.consensusConfig);
+    }();
     if (consensus) {
       for (size_t i = 0; i < n; ++i) {
         const int c = consensus->chosen[i];
@@ -449,6 +457,7 @@ std::optional<robust::ConfidenceEllipse> Locator::bootstrapEllipse2D(
     std::span<const RigObservation> observations,
     std::span<const RigDirection> directions,
     const geom::Vec2& position) const {
+  TAGSPIN_SPAN(obs_.bootstrap);
   obs::add(obs_.bootstrapRuns);
   const geom::Vec3 est3{position.x, position.y,
                         observations[0].rig.center.z};

@@ -179,6 +179,9 @@ class Locator {
     obs::Histogram* rigHealth = nullptr;       // span.rig_health
     obs::Histogram* profileEval = nullptr;     // span.profile_eval
     obs::Histogram* spectrumSearch = nullptr;  // span.spectrum_search
+    obs::Histogram* diagnose = nullptr;        // span.diagnose
+    obs::Histogram* consensus = nullptr;       // span.consensus
+    obs::Histogram* bootstrap = nullptr;       // span.bootstrap
     obs::Histogram* fix2d = nullptr;           // span.fix2d
     obs::Histogram* fix3d = nullptr;           // span.fix3d
     static Instruments resolve(obs::MetricsRegistry* registry);
@@ -211,11 +214,12 @@ class Locator {
                                const RigSpec& rig,
                                const ProfileConfig& cfg) const;
   /// One rig's 2D bearing from its sweep: refine the grid maximum, then
-  /// diagnose the spin from the same samples.
+  /// diagnose the spin from the same samples (timed under span.diagnose).
   void bearing2D(const SpinSpectrum& spectrum, RigDirection& direction,
                  RigBearing& bearing) const;
   /// One rig's 3D bearing: profile build, (azimuth, polar) search, spin
-  /// diagnosis at the peak's polar angle.
+  /// diagnosis at the peak's polar angle (its azimuth sweep included in
+  /// span.diagnose).
   void bearing3D(const std::vector<Snapshot>& snaps, const RigSpec& rig,
                  const ProfileConfig& cfg, RigDirection& direction,
                  RigBearing& bearing) const;
@@ -232,7 +236,8 @@ class Locator {
   Fix2D locate2D(std::span<const RigObservation> observations,
                  std::span<const SpinSpectrum* const> swept) const;
   /// Intersect the (possibly multi-candidate) bearings: consensus voting
-  /// for >= 3 rays when enabled, exact two-ray / detailed least squares
+  /// for >= 3 rays when enabled (timed under span.consensus), exact
+  /// two-ray / detailed least squares
   /// otherwise.  Updates `directions` to the chosen candidates and fills
   /// the per-ray fields of `estimation`.  Throws std::runtime_error on
   /// degenerate (all-parallel) geometry, like the legacy path.
@@ -241,7 +246,8 @@ class Locator {
                                std::span<RigDirection> directions,
                                EstimationDiagnostics& estimation,
                                double* residualOut) const;
-  /// Bootstrap confidence ellipse around a finished xy fix.
+  /// Bootstrap confidence ellipse around a finished xy fix, timed under
+  /// span.bootstrap.
   std::optional<robust::ConfidenceEllipse> bootstrapEllipse2D(
       std::span<const RigObservation> observations,
       std::span<const RigDirection> directions,

@@ -73,34 +73,51 @@ class PowerProfile {
   };
   WeightStats weightStats(double phi, double gamma = 0.0) const;
 
-  size_t snapshotCount() const { return entries_.size(); }
+  /// Instruction-set builds of the evaluation kernel.  There is one kernel
+  /// source, compiled for the baseline ISA and for AVX2; kernelIsa() is the
+  /// build picked once per process from the CPU's features, and the plain
+  /// overloads above run it.  The overloads taking an Isa run a given build
+  /// (it must be isaSupported), so the builds can be held to each other.
+  enum class Isa { kBaseline, kAvx2 };
+  static Isa kernelIsa();
+  static bool isaSupported(Isa isa);
+  double evaluateDirection(double angle, double scale, Isa isa) const;
+  WeightStats weightStats(double phi, double gamma, Isa isa) const;
+
+  size_t snapshotCount() const { return count_; }
   const ProfileConfig& config() const { return config_; }
 
  private:
-  struct Entry {
-    // cos/sin of the disk angle a_i and of the group's reference disk angle
-    // a_0, precomputed so the per-candidate evaluation needs no trig on the
-    // geometry: cos(a - phi) = cosA*cos(phi) + sinA*sin(phi).
-    double cosA = 0.0;
-    double sinA = 0.0;
+  friend struct ProfileKernel;
+
+  /// A channel group: the entries [begin, begin + size) of the columns,
+  /// and cos/sin of the group's reference disk angle a_0.
+  struct Group {
+    size_t begin = 0;
+    size_t size = 0;
     double cosRef = 0.0;
     double sinRef = 0.0;
-    double k = 0.0;           // 4*pi/lambda_i
-    double relPhase = 0.0;    // theta_i - theta_0 of its channel group
-    int group = 0;            // channel-group index
   };
 
-  /// The enhanced profile's residual/centring pipeline at one direction:
-  /// calls visit(group, weight, e^{J residual}) per entry, in entry order.
-  /// Shared by evaluateDirection and weightStats.
-  template <class Visit>
-  void forEachWeight(double phi, double cg, Visit&& visit) const;
-
   ProfileConfig config_;
-  double radius_ = 0.0;
   double sigmaPair_ = 0.0;
-  int groupCount_ = 0;
-  std::vector<Entry> entries_;
+  size_t count_ = 0;
+  // Largest |relPhase| and k*radius: they bound the phase arguments of an
+  // evaluation, which decide between the kernel's fast wrap and the
+  // reference's lane-wise libm operations.
+  double maxAbsRelPhase_ = 0.0;
+  double maxKr_ = 0.0;
+  // Structure-of-arrays entries, group-major: each group's snapshots are
+  // contiguous in input order, and every group starts on a multiple of the
+  // kernel's vector width (the padding between groups is zero and never
+  // summed).  cos/sin of the disk angle a_i are precomputed so evaluation
+  // needs no trig on the geometry: cos(a - phi) = cosA*cos(phi) +
+  // sinA*sin(phi).
+  std::vector<double> cosA_;
+  std::vector<double> sinA_;
+  std::vector<double> kr_;        // k_i * radius, k_i = 4*pi/lambda_i
+  std::vector<double> relPhase_;  // theta_i - theta_0 of its channel group
+  std::vector<Group> groups_;
 };
 
 }  // namespace tagspin::core

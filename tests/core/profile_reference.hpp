@@ -1,9 +1,9 @@
 // Scalar reference of the power-profile kernel: the direct transcription of
 // PowerProfile's construction, evaluateDirection and weightStats -- per-call
-// buffers, the residual pipeline written out separately in each function.
-// Optimised kernels are held to it by exact equality
-// (profile_reference_test.cpp), so keep this copy as it is: it is the
-// oracle, not a second implementation to maintain.
+// buffers, the residual pipeline written out separately in each function,
+// libm trig and exp.  The vectorised kernel is held to it within a stated
+// absolute bound (profile_kernel_test.cpp), so keep this copy as it is: it
+// is the oracle, not a second implementation to maintain.
 #pragma once
 
 #include <cmath>

@@ -17,7 +17,9 @@
 # exactly what ASan/UBSan verify.  The crash-consistency smoke (label
 # `crash_smoke`) drives every durable writer through thousands of simulated
 # power cuts and recoveries -- heavy allocation churn across torn buffers,
-# a good ASan payload.
+# a good ASan payload.  The profile-kernel tests (label `kernel`) run on
+# their own too: the vector kernel's unaligned loads, padded group tails
+# and exponent-bit shifts are exactly what ASan/UBSan check.
 #
 # A final pass builds with ThreadSanitizer (its own build dir -- TSan
 # cannot share objects with ASan) and runs the `tsan`-labeled tests: the
@@ -48,6 +50,10 @@ cmake --build "$BUILD_DIR" -j"$(nproc)"
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" "$@"
+
+echo
+echo "== profile kernel vs reference under sanitizers (ctest -L kernel) =="
+ctest --test-dir "$BUILD_DIR" --output-on-failure -L kernel
 
 echo
 echo "== soak smoke under sanitizers (ctest -L soak_smoke) =="
