@@ -56,40 +56,7 @@ int main(int argc, char** argv) {
               cfg.fleetShards, cfg.fleetRounds, cfg.scheduleRounds);
 
   const eval::CrashEvalResult r = eval::runCrashEval(cfg);
-
-  std::printf("\n%-22s %12s %14s %12s\n", "workload", "boundaries",
-              "crash points", "violations");
-  for (const eval::WorkloadCrashStats& w : r.workloads) {
-    std::printf("%-22s %12llu %14llu %12llu\n", w.name.c_str(),
-                static_cast<unsigned long long>(w.boundaries),
-                static_cast<unsigned long long>(w.crashPoints),
-                static_cast<unsigned long long>(w.violations));
-  }
-  std::printf("total: %llu boundaries, %llu crash-point recoveries, %llu "
-              "violations\n",
-              static_cast<unsigned long long>(r.totalBoundaries),
-              static_cast<unsigned long long>(r.totalCrashPoints),
-              static_cast<unsigned long long>(r.totalViolations));
-  std::printf("schedule search: %llu runs (%llu crashed), %llu recovery "
-              "checks, %llu violations\n",
-              static_cast<unsigned long long>(r.scheduleRuns),
-              static_cast<unsigned long long>(r.scheduleCrashes),
-              static_cast<unsigned long long>(r.scheduleChecks),
-              static_cast<unsigned long long>(r.scheduleViolations));
-  std::printf("broken writer: caught %s, failing schedule %s (%llu faults), "
-              "shrunk to %llu fault(s)\n",
-              r.brokenWriterCaught ? "yes" : "NO",
-              r.brokenScheduleFound ? "found" : "NOT FOUND",
-              static_cast<unsigned long long>(r.brokenScheduleFaults),
-              static_cast<unsigned long long>(r.brokenShrunkFaults));
-  if (!r.brokenArtifactJson.empty()) {
-    std::printf("minimal artifact: %s\n", r.brokenArtifactJson.c_str());
-  }
-  for (const eval::CrashViolation& v : r.violations) {
-    std::printf("VIOLATION [%s] crashAtOp=%lld persist=%s: %s\n",
-                v.workload.c_str(), static_cast<long long>(v.crashAtOp),
-                v.persistMode.c_str(), v.detail.c_str());
-  }
+  std::printf("\n%s", eval::crashReport(r).c_str());
 
   const std::string payload = eval::crashJson(r);
   std::ofstream json(prefix + ".json");
@@ -100,15 +67,13 @@ int main(int argc, char** argv) {
   record.name = "crash";
   record.seed = cfg.seed;
   record.payload = payload;
-  record.gate("crash_points_ge_2000", r.totalCrashPoints >= 2000);
+  record.gate("crash_points_ge_2000", r.totalPoints >= 2000);
   record.gate("zero_violations", r.totalViolations == 0);
   record.gate("schedule_search_clean", r.scheduleViolations == 0);
-  record.gate("broken_writer_caught", r.brokenWriterCaught);
-  record.gate("broken_writer_shrunk",
-              r.brokenScheduleFound && r.brokenShrunkFaults >= 1 &&
-                  r.brokenShrunkFaults <= r.brokenScheduleFaults);
+  record.gate("broken_writer_caught", r.brokenCaught);
+  record.gate("broken_writer_shrunk", r.brokenShrunk());
   record.metric("total_boundaries", double(r.totalBoundaries));
-  record.metric("total_crash_points", double(r.totalCrashPoints));
+  record.metric("total_crash_points", double(r.totalPoints));
   record.metric("total_violations", double(r.totalViolations));
   record.metric("schedule_runs", double(r.scheduleRuns));
   record.metric("schedule_crashes", double(r.scheduleCrashes));
@@ -120,7 +85,7 @@ int main(int argc, char** argv) {
   std::printf("[acceptance: >= 2000 crash-point recoveries (%llu), zero "
               "invariant violations (%llu), planted fsync-ordering bug "
               "caught and shrunk to %llu fault(s)]\n",
-              static_cast<unsigned long long>(r.totalCrashPoints),
+              static_cast<unsigned long long>(r.totalPoints),
               static_cast<unsigned long long>(r.totalViolations),
               static_cast<unsigned long long>(r.brokenShrunkFaults));
 

@@ -1,7 +1,7 @@
 #include "eval/crash.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <functional>
 #include <memory>
 #include <numbers>
 #include <optional>
@@ -14,7 +14,6 @@
 #include "capture/format.hpp"
 #include "capture/writer.hpp"
 #include "core/io_env.hpp"
-#include "eval/ddmin.hpp"
 #include "core/serialization.hpp"
 #include "runtime/checkpoint.hpp"
 #include "sim/rng.hpp"
@@ -439,7 +438,8 @@ class FleetFanoutWorkload final : public WorkloadRun {
 };
 
 // ---------------------------------------------------------------------------
-// The explorer
+// The environment the explorer drives: a power cut at every syscall
+// boundary, each post-crash disk checked under every persistence variant.
 
 std::vector<sim::CrashPersist> persistVariants(const CrashExploreConfig& cfg) {
   using M = sim::CrashPersist::Mode;
@@ -452,205 +452,115 @@ std::vector<sim::CrashPersist> persistVariants(const CrashExploreConfig& cfg) {
   return v;
 }
 
-void keepDetail(std::vector<CrashViolation>& details, size_t cap,
-                CrashViolation violation) {
-  if (details.size() < cap) details.push_back(std::move(violation));
-}
+struct CrashEnv {
+  using Fault = sim::Fault;
+  using Outcome = RunOutcome<Fault>;
+  struct Workload {
+    std::string name;
+    WorkloadFactory make;
+    sim::DiskImage initial;
+  };
 
-/// Enumerate every syscall boundary of the workload, power-cut there, and
-/// recover under every persistence variant.
-WorkloadCrashStats exploreWorkload(const std::string& name,
-                                   const WorkloadFactory& factory,
-                                   const sim::DiskImage& initial,
-                                   const std::vector<sim::CrashPersist>& variants,
-                                   const CrashExploreConfig& cfg,
-                                   std::vector<CrashViolation>& details,
-                                   size_t detailCap) {
-  WorkloadCrashStats stats;
-  stats.name = name;
+  static constexpr bool kCrashes = true;
+  static constexpr const char* kPointsKey = "crash_points";
+  static constexpr const char* kOpKey = "crash_at_op";
+  static constexpr const char* kPlantedKey = "broken_writer";
 
-  {
-    // Fault-free baseline: counts the boundaries and sanity-checks the
-    // workload's own oracle against the live state.
-    auto inst = factory();
-    sim::SimIoEnv env(initial);
-    inst->run(env);
-    stats.boundaries = env.opCount();
-    if (auto bad = inst->checkLive(env.liveImage())) {
-      ++stats.violations;
-      keepDetail(details, detailCap,
-                 {name, -1, {}, "live", 0, "baseline: " + *bad});
-    }
+  static void drawFault(std::mt19937_64& rng, Fault& f) {
+    static constexpr sim::FaultKind kKinds[] = {
+        sim::FaultKind::kEio,        sim::FaultKind::kEnospc,
+        sim::FaultKind::kEintr,      sim::FaultKind::kShortWrite,
+        sim::FaultKind::kFsyncFailPartial, sim::FaultKind::kCrash};
+    f.kind = kKinds[rng() % std::size(kKinds)];
+  }
+  static void faultJson(std::ostream& out, const Fault& f) {
+    out << "{\"op\": " << f.opIndex << ", \"kind\": \""
+        << sim::faultKindName(f.kind) << "\"}";
   }
 
-  for (uint64_t k = 0; k < stats.boundaries; ++k) {
-    auto inst = factory();
-    sim::SimIoEnv env(initial);
-    env.setFaultSeed(sim::deriveSeed(cfg.seed, k));
-    env.setCrashAtOp(static_cast<int64_t>(k));
+  uint64_t seed;
+  std::vector<sim::CrashPersist> variants;
+
+  /// Fault-free run: counts the boundaries and sanity-checks the
+  /// workload's own oracle against the live state.
+  Outcome probe(const Workload& w, uint64_t& boundaries) const {
+    auto inst = w.make();
+    sim::SimIoEnv io(w.initial);
+    inst->run(io);
+    boundaries = io.opCount();
+    Outcome out;
+    if (auto bad = inst->checkLive(io.liveImage())) {
+      out.violations.push_back(
+          {w.name, -1, {}, "live", 0, "baseline: " + *bad});
+    }
+    return out;
+  }
+
+  size_t sweepPoints(uint64_t boundaries) const { return boundaries; }
+
+  /// Power cut at syscall `k`.
+  Outcome inject(const Workload& w, size_t k, uint64_t) const {
+    sim::SimIoEnv io(w.initial);
+    io.setFaultSeed(sim::deriveSeed(seed, k));
+    io.setCrashAtOp(static_cast<int64_t>(k));
+    return runAndCheck(w, io, static_cast<int64_t>(k), {});
+  }
+
+  Outcome runSchedule(const Workload& w, const sim::FaultSchedule& schedule,
+                      uint64_t faultSeed) const {
+    sim::SimIoEnv io(w.initial);
+    io.setFaultSeed(faultSeed);
+    io.setFaults(schedule);
+    return runAndCheck(w, io, -1, schedule);
+  }
+
+  /// Run once against `io`; a crashed run is recovered under every
+  /// persistence variant, a surviving one checked live.
+  Outcome runAndCheck(const Workload& w, sim::SimIoEnv& io, int64_t atOp,
+                      const sim::FaultSchedule& schedule) const {
+    auto inst = w.make();
     try {
-      inst->run(env);
+      inst->run(io);
     } catch (const sim::SimCrash&) {
     }
-    // A destructor may have swallowed the SimCrash (CaptureWriter's dtor
-    // catches everything); env.crashed() is the ground truth.
-    if (!env.crashed()) continue;
-    for (const sim::CrashPersist& p : variants) {
-      ++stats.crashPoints;
-      if (auto bad = inst->check(env.crashImage(p))) {
-        ++stats.violations;
-        keepDetail(details, detailCap,
-                   {name, static_cast<int64_t>(k), {},
-                    sim::persistModeName(p.mode), p.seed, *bad});
-      }
-    }
-  }
-  return stats;
-}
-
-sim::FaultSchedule randomSchedule(std::mt19937_64& rng, uint64_t maxOp,
-                                  size_t maxFaults) {
-  static constexpr sim::FaultKind kKinds[] = {
-      sim::FaultKind::kEio,        sim::FaultKind::kEnospc,
-      sim::FaultKind::kEintr,      sim::FaultKind::kShortWrite,
-      sim::FaultKind::kFsyncFailPartial, sim::FaultKind::kCrash};
-  const size_t n = 1 + rng() % maxFaults;
-  sim::FaultSchedule schedule;
-  for (size_t i = 0; i < n; ++i) {
-    sim::Fault f;
-    f.opIndex = rng() % maxOp;
-    f.kind = kKinds[rng() % std::size(kKinds)];
-    schedule.push_back(f);
-  }
-  std::sort(schedule.begin(), schedule.end(),
-            [](const sim::Fault& a, const sim::Fault& b) {
-              return a.opIndex < b.opIndex;
-            });
-  return schedule;
-}
-
-struct ScheduleOutcome {
-  bool crashed = false;
-  uint64_t checks = 0;
-  uint64_t violations = 0;
-  std::optional<CrashViolation> first;
-};
-
-ScheduleOutcome runSchedule(const std::string& name,
-                            const WorkloadFactory& factory,
-                            const sim::FaultSchedule& schedule,
-                            const std::vector<sim::CrashPersist>& variants,
-                            uint64_t faultSeed) {
-  ScheduleOutcome out;
-  auto inst = factory();
-  sim::SimIoEnv env;
-  env.setFaultSeed(faultSeed);
-  env.setFaults(schedule);
-  try {
-    inst->run(env);
-  } catch (const sim::SimCrash&) {
-  }
-  out.crashed = env.crashed();
-  if (out.crashed) {
-    for (const sim::CrashPersist& p : variants) {
+    Outcome out;
+    const auto check = [&](std::optional<std::string> bad, std::string mode,
+                           uint64_t persistSeed) {
       ++out.checks;
-      if (auto bad = inst->check(env.crashImage(p))) {
-        ++out.violations;
-        if (!out.first) {
-          out.first = CrashViolation{name, -1, schedule,
-                                     sim::persistModeName(p.mode), p.seed,
-                                     *bad};
-        }
+      if (bad) {
+        out.violations.push_back(
+            {w.name, atOp, schedule, std::move(mode), persistSeed, *bad});
       }
+    };
+    // A destructor may have swallowed the SimCrash (CaptureWriter's dtor
+    // catches everything); io.crashed() is the ground truth.
+    out.crashed = io.crashed();
+    if (!out.crashed) {
+      check(inst->checkLive(io.liveImage()), "live", 0);
+      return out;
     }
-  } else {
-    ++out.checks;
-    if (auto bad = inst->checkLive(env.liveImage())) {
-      ++out.violations;
-      out.first = CrashViolation{name, -1, schedule, "live", 0, *bad};
+    for (const sim::CrashPersist& p : variants) {
+      check(inst->check(io.crashImage(p)), sim::persistModeName(p.mode),
+            p.seed);
     }
+    return out;
   }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// JSON
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string scheduleJson(const sim::FaultSchedule& schedule) {
-  std::ostringstream out;
-  out << '[';
-  for (size_t i = 0; i < schedule.size(); ++i) {
-    out << (i ? ", " : "") << "{\"op\": " << schedule[i].opIndex
-        << ", \"kind\": \"" << sim::faultKindName(schedule[i].kind) << "\"}";
-  }
-  out << ']';
-  return out.str();
-}
-
-std::string artifactJson(uint64_t faultSeed, const sim::FaultSchedule& shrunk,
-                         const std::optional<CrashViolation>& violation) {
-  std::ostringstream out;
-  out << "{\"workload\": \"broken_writer\", \"fault_seed\": " << faultSeed
-      << ", \"schedule\": " << scheduleJson(shrunk);
-  if (violation) {
-    out << ", \"persist\": {\"mode\": \"" << violation->persistMode
-        << "\", \"seed\": " << violation->persistSeed << "}"
-        << ", \"detail\": \"" << jsonEscape(violation->detail) << "\"";
-  }
-  out << "}";
-  return out.str();
-}
+};
 
 }  // namespace
 
-sim::FaultSchedule shrinkSchedule(
-    const sim::FaultSchedule& schedule,
-    const std::function<bool(const sim::FaultSchedule&)>& fails) {
-  return ddminShrink(schedule, fails);
-}
-
 CrashEvalResult runCrashEval(const CrashExploreConfig& config) {
   CrashEvalResult result;
-  const std::vector<sim::CrashPersist> variants = persistVariants(config);
+  const CrashEnv env{config.seed, persistVariants(config)};
 
   const capture::TimedStream mainStream =
       quantizedStream(config.captureReports, 1'000'000);
   const capture::TimedStream reopenStream =
       quantizedStream(std::max<size_t>(config.captureReports / 2, 1),
                       400'000'000);
-
-  const WorkloadFactory checkpointF = [&config] {
-    return std::make_unique<CheckpointWorkload>(config.checkpointSaves);
-  };
   const WorkloadFactory captureFreshF = [&config, &mainStream] {
     return std::make_unique<CaptureWorkload>(config, mainStream,
                                              capture::TimedStream{}, false);
-  };
-  const WorkloadFactory fleetF = [&config] {
-    return std::make_unique<FleetFanoutWorkload>(
-        config.fleetShards, config.fleetRounds, &correctDurableWrite);
   };
 
   // Starting images for the reopen workloads: a clean capture, and the same
@@ -659,9 +569,9 @@ CrashEvalResult runCrashEval(const CrashExploreConfig& config) {
   sim::DiskImage cleanImage;
   {
     auto inst = captureFreshF();
-    sim::SimIoEnv env;
-    inst->run(env);
-    cleanImage = env.liveImage();
+    sim::SimIoEnv io;
+    inst->run(io);
+    cleanImage = io.liveImage();
   }
   sim::DiskImage tornImage = cleanImage;
   {
@@ -672,148 +582,75 @@ CrashEvalResult runCrashEval(const CrashExploreConfig& config) {
       decodeStrictPrefix(cleanImage.at(kCapturePath));
   const capture::TimedStream tornBase =
       decodeStrictPrefix(tornImage.at(kCapturePath));
-
-  const WorkloadFactory reopenCleanF = [&config, &reopenStream, &cleanBase] {
-    return std::make_unique<CaptureWorkload>(config, reopenStream, cleanBase,
-                                             true);
-  };
-  const WorkloadFactory reopenTornF = [&config, &reopenStream, &tornBase] {
-    return std::make_unique<CaptureWorkload>(config, reopenStream, tornBase,
-                                             true);
+  const auto reopen = [&](const capture::TimedStream& base) {
+    return [&config, &reopenStream, &base] {
+      return std::make_unique<CaptureWorkload>(config, reopenStream, base,
+                                               true);
+    };
   };
 
-  const struct {
-    const char* name;
-    const WorkloadFactory* factory;
-    const sim::DiskImage* initial;
-  } kWorkloads[] = {
-      {"checkpoint", &checkpointF, nullptr},
-      {"capture_append", &captureFreshF, nullptr},
-      {"capture_reopen_clean", &reopenCleanF, &cleanImage},
-      {"capture_reopen_torn", &reopenTornF, &tornImage},
-      {"fleet_fanout", &fleetF, nullptr},
+  const std::vector<CrashEnv::Workload> workloads = {
+      {"checkpoint",
+       [&config] {
+         return std::make_unique<CheckpointWorkload>(config.checkpointSaves);
+       },
+       {}},
+      {"capture_append", captureFreshF, {}},
+      {"capture_reopen_clean", reopen(cleanBase), cleanImage},
+      {"capture_reopen_torn", reopen(tornBase), tornImage},
+      {"fleet_fanout",
+       [&config] {
+         return std::make_unique<FleetFanoutWorkload>(
+             config.fleetShards, config.fleetRounds, &correctDurableWrite);
+       },
+       {}},
   };
-  const sim::DiskImage empty;
-  uint64_t fleetOps = 0;
-  for (const auto& w : kWorkloads) {
-    const WorkloadCrashStats stats = exploreWorkload(
-        w.name, *w.factory, w.initial ? *w.initial : empty, variants, config,
-        result.violations, config.maxViolationDetails);
-    result.totalBoundaries += stats.boundaries;
-    result.totalCrashPoints += stats.crashPoints;
-    result.totalViolations += stats.violations;
-    if (stats.name == "fleet_fanout") fleetOps = stats.boundaries;
-    result.workloads.push_back(stats);
-  }
-
-  // Seeded fault-schedule search over the fleet fan-out path.
-  std::mt19937_64 rng = sim::makeRng(sim::deriveSeed(config.seed, 0x5C4ED));
-  for (size_t r = 0; r < config.scheduleRounds && fleetOps > 0; ++r) {
-    const sim::FaultSchedule schedule =
-        randomSchedule(rng, fleetOps, config.maxScheduleFaults);
-    const ScheduleOutcome out =
-        runSchedule("fleet_fanout", fleetF, schedule, variants,
-                    sim::deriveSeed(config.seed, 0x900 + r));
-    ++result.scheduleRuns;
-    if (out.crashed) ++result.scheduleCrashes;
-    result.scheduleChecks += out.checks;
-    result.scheduleViolations += out.violations;
-    result.totalViolations += out.violations;
-    if (out.first) {
-      keepDetail(result.violations, config.maxViolationDetails, *out.first);
-    }
-  }
+  exploreWorkloads(env, workloads, result);
+  searchSchedules(env, workloads, "fleet_fanout", 0x5C4ED,
+                  config.scheduleRounds, config.maxScheduleFaults, result);
 
   // Falsification arm: the harness must catch the planted ordering bug and
   // shrink a failing schedule to a minimal replayable artifact.
-  if (config.exploreBrokenWriter) {
-    const WorkloadFactory brokenF = [] {
-      return std::make_unique<FleetFanoutWorkload>(1, 2, &brokenDurableWrite);
-    };
-    std::vector<CrashViolation> brokenDetails;
-    const WorkloadCrashStats brokenStats =
-        exploreWorkload("broken_writer", brokenF, empty, variants, config,
-                        brokenDetails, 1);
-    result.brokenWriterCaught = brokenStats.violations > 0;
+  const CrashEnv::Workload broken{
+      "broken_writer",
+      [] {
+        return std::make_unique<FleetFanoutWorkload>(1, 2,
+                                                     &brokenDurableWrite);
+      },
+      {}};
+  std::vector<CrashViolation> brokenDetails;
+  const WorkloadStats brokenStats =
+      exploreWorkload(env, broken, brokenDetails, 1);
+  result.brokenCaught = brokenStats.violations > 0;
 
-    const uint64_t brokenFaultSeed = sim::deriveSeed(config.seed, 0xFA11);
-    const auto fails = [&](const sim::FaultSchedule& schedule) {
-      if (schedule.empty()) return false;
-      return runSchedule("broken_writer", brokenF, schedule, variants,
-                         brokenFaultSeed)
-                 .violations > 0;
-    };
-    std::mt19937_64 brng = sim::makeRng(sim::deriveSeed(config.seed, 0xB40C));
-    sim::FaultSchedule failing;
-    for (size_t r = 0; r < config.brokenSearchRounds && failing.empty(); ++r) {
-      const sim::FaultSchedule candidate = randomSchedule(
-          brng, std::max<uint64_t>(brokenStats.boundaries, 1),
-          config.maxScheduleFaults);
-      if (fails(candidate)) failing = candidate;
-    }
-    if (!failing.empty()) {
-      result.brokenScheduleFound = true;
-      result.brokenScheduleFaults = failing.size();
-      const sim::FaultSchedule shrunk = shrinkSchedule(failing, fails);
-      result.brokenShrunkFaults = shrunk.size();
-      const ScheduleOutcome replay = runSchedule(
-          "broken_writer", brokenF, shrunk, variants, brokenFaultSeed);
-      result.brokenArtifactJson =
-          artifactJson(brokenFaultSeed, shrunk, replay.first);
-    }
-  }
+  const uint64_t faultSeed = sim::deriveSeed(config.seed, 0xFA11);
+  const auto fails = [&](const sim::FaultSchedule& schedule) {
+    return !env.runSchedule(broken, schedule, faultSeed).violations.empty();
+  };
+  const auto tail = [&](const sim::FaultSchedule& shrunk) {
+    const CrashEnv::Outcome replay = env.runSchedule(broken, shrunk, faultSeed);
+    if (replay.violations.empty()) return std::string();
+    const CrashViolation& v = replay.violations.front();
+    return ", \"persist\": {\"mode\": \"" + v.persistMode +
+           "\", \"seed\": " + std::to_string(v.persistSeed) +
+           "}, \"detail\": \"" + obs::jsonEscape(v.detail) + "\"";
+  };
+  shrinkPlantedBug(env, "broken_writer",
+                   "\"fault_seed\": " + std::to_string(faultSeed), 0xB40C,
+                   config.brokenSearchRounds, brokenStats.boundaries,
+                   config.maxScheduleFaults, fails, tail, result);
 
-  const bool brokenOk =
-      !config.exploreBrokenWriter ||
-      (result.brokenWriterCaught && result.brokenScheduleFound &&
-       result.brokenShrunkFaults >= 1 &&
-       result.brokenShrunkFaults <= result.brokenScheduleFaults);
-  result.pass = result.totalViolations == 0 && brokenOk;
+  result.pass = result.totalViolations == 0 && result.brokenCaught &&
+                result.brokenShrunk();
   return result;
 }
 
 std::string crashJson(const CrashEvalResult& result) {
-  std::ostringstream out;
-  out << "{\n  \"workloads\": [\n";
-  for (size_t i = 0; i < result.workloads.size(); ++i) {
-    const WorkloadCrashStats& w = result.workloads[i];
-    out << "    {\"name\": \"" << jsonEscape(w.name)
-        << "\", \"boundaries\": " << w.boundaries
-        << ", \"crash_points\": " << w.crashPoints
-        << ", \"violations\": " << w.violations << '}'
-        << (i + 1 < result.workloads.size() ? "," : "") << '\n';
-  }
-  out << "  ],\n";
-  out << "  \"total_boundaries\": " << result.totalBoundaries << ",\n";
-  out << "  \"total_crash_points\": " << result.totalCrashPoints << ",\n";
-  out << "  \"total_violations\": " << result.totalViolations << ",\n";
-  out << "  \"schedule_search\": {\"runs\": " << result.scheduleRuns
-      << ", \"crashes\": " << result.scheduleCrashes
-      << ", \"checks\": " << result.scheduleChecks
-      << ", \"violations\": " << result.scheduleViolations << "},\n";
-  out << "  \"broken_writer\": {\"caught\": "
-      << (result.brokenWriterCaught ? "true" : "false")
-      << ", \"schedule_found\": "
-      << (result.brokenScheduleFound ? "true" : "false")
-      << ", \"schedule_faults\": " << result.brokenScheduleFaults
-      << ", \"shrunk_faults\": " << result.brokenShrunkFaults
-      << ", \"artifact\": "
-      << (result.brokenArtifactJson.empty() ? "null"
-                                            : result.brokenArtifactJson)
-      << "},\n";
-  out << "  \"violations\": [\n";
-  for (size_t i = 0; i < result.violations.size(); ++i) {
-    const CrashViolation& v = result.violations[i];
-    out << "    {\"workload\": \"" << jsonEscape(v.workload)
-        << "\", \"crash_at_op\": " << v.crashAtOp << ", \"persist\": \""
-        << jsonEscape(v.persistMode) << "\", \"persist_seed\": "
-        << v.persistSeed << ", \"schedule\": " << scheduleJson(v.schedule)
-        << ", \"detail\": \"" << jsonEscape(v.detail) << "\"}"
-        << (i + 1 < result.violations.size() ? "," : "") << '\n';
-  }
-  out << "  ],\n";
-  out << "  \"pass\": " << (result.pass ? "true" : "false") << "\n}\n";
-  return out.str();
+  return exploreJson<CrashEnv>(result);
+}
+
+std::string crashReport(const CrashEvalResult& result) {
+  return exploreReport<CrashEnv>(result);
 }
 
 }  // namespace tagspin::eval

@@ -1,8 +1,8 @@
 // Crash-consistency evaluation: the systematic falsifier for every
 // durability claim in the tree.
 //
-// Three escalating attacks, all against sim::SimIoEnv (never the real
-// disk), all fully deterministic:
+// The three escalating attacks of the fault-point explorer
+// (eval/explore.hpp), all against sim::SimIoEnv (never the real disk):
 //
 //  1. Exhaustive crash-point exploration.  Each scripted workload --
 //     repeated checkpoint saves, capture append, capture reopen (clean and
@@ -28,17 +28,18 @@
 //  3. Falsification proof.  A deliberately broken writer (tmp+rename
 //     WITHOUT the data fsync -- the classic ordering bug) is swept by the
 //     same explorer; it must be caught, and a failing fault schedule found
-//     by search must shrink, via delta debugging (shrinkSchedule), to a
+//     by search must shrink, via delta debugging (ddminShrink), to a
 //     minimal replayable artifact (seed + schedule JSON) of the kind a bug
-//     report would carry.  A harness that cannot flag a planted bug proves
-//     nothing by passing.
+//     report would carry.
+//
+// This file plugs in the workloads, the old-or-new oracle and the
+// persistence variants; the explorer owns the loops, tallies and output.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <vector>
 
+#include "eval/explore.hpp"
 #include "sim/io_sim.hpp"
 
 namespace tagspin::eval {
@@ -75,69 +76,20 @@ struct CrashExploreConfig {
   /// Schedules tried against the broken writer before giving up on finding
   /// a failing one to shrink.
   size_t brokenSearchRounds = 400;
-
-  /// Run the deliberately-broken-writer falsification arm.
-  bool exploreBrokenWriter = true;
-
-  /// Violations kept with full detail (counts are always exact).
-  size_t maxViolationDetails = 32;
 };
 
-/// One invariant violation, with everything needed to replay it.
-struct CrashViolation {
-  std::string workload;
-  /// Syscall index of the scheduled power cut; -1 when the run was driven
-  /// by a fault schedule (or completed) instead.
-  int64_t crashAtOp = -1;
-  sim::FaultSchedule schedule;  // empty for pure crash-point runs
-  std::string persistMode;      // empty when the live state failed
-  uint64_t persistSeed = 0;
-  std::string detail;
-};
+using CrashViolation = Violation<sim::Fault>;
 
-struct WorkloadCrashStats {
-  std::string name;
-  uint64_t boundaries = 0;   // syscall boundaries enumerated (= runs)
-  uint64_t crashPoints = 0;  // boundary x persistence-variant recoveries
-  uint64_t violations = 0;
-};
-
-struct CrashEvalResult {
-  std::vector<WorkloadCrashStats> workloads;
-  uint64_t totalBoundaries = 0;
-  uint64_t totalCrashPoints = 0;
-  uint64_t totalViolations = 0;
-  std::vector<CrashViolation> violations;  // capped at maxViolationDetails
-
-  // Fault-schedule search over the fleet fan-out path.
-  uint64_t scheduleRuns = 0;
-  uint64_t scheduleCrashes = 0;     // runs whose schedule fired a power cut
-  uint64_t scheduleChecks = 0;      // recovery checks performed
-  uint64_t scheduleViolations = 0;
-
-  // Falsification arm (deliberately broken writer).
-  bool brokenWriterCaught = false;     // crash-point exploration flagged it
-  bool brokenScheduleFound = false;    // search found a failing schedule
-  uint64_t brokenScheduleFaults = 0;   // faults before shrinking
-  uint64_t brokenShrunkFaults = 0;     // faults after delta debugging
-  std::string brokenArtifactJson;      // minimal replayable artifact
-
-  /// Zero violations on the correct writers AND the planted bug was caught
-  /// and shrunk (when the arm is enabled).
-  bool pass = false;
-};
+/// Points are crash-point recoveries (boundary x persistence variant); the
+/// planted bug is the broken writer.
+using CrashEvalResult = ExploreResult<sim::Fault>;
 
 CrashEvalResult runCrashEval(const CrashExploreConfig& config);
 
 /// Full result as JSON (the BENCH_crash.json payload).
 std::string crashJson(const CrashEvalResult& result);
 
-/// Delta-debugging (ddmin) minimizer: returns a minimal sub-schedule for
-/// which `fails` still returns true (1-minimal: removing any single chunk
-/// at the final granularity makes it pass).  `fails(schedule)` must be
-/// deterministic; `schedule` itself is assumed failing.
-sim::FaultSchedule shrinkSchedule(
-    const sim::FaultSchedule& schedule,
-    const std::function<bool(const sim::FaultSchedule&)>& fails);
+/// The text report fig_crash and `tagspin_cli crash` print.
+std::string crashReport(const CrashEvalResult& result);
 
 }  // namespace tagspin::eval

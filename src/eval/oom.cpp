@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <numbers>
 #include <optional>
@@ -11,7 +12,6 @@
 #include "capture/digest.hpp"
 #include "capture/replay.hpp"
 #include "capture/writer.hpp"
-#include "eval/ddmin.hpp"
 #include "rfid/llrp.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/fleet.hpp"
@@ -571,12 +571,9 @@ class BrokenShedCacheWorkload final : public MemWorkloadRun {
 };
 
 // ---------------------------------------------------------------------------
-// The explorer
-
-void keepDetail(std::vector<OomViolation>& details, size_t cap,
-                OomViolation violation) {
-  if (details.size() < cap) details.push_back(std::move(violation));
-}
+// The environment the explorer drives: one allocation fault per sampled
+// reservation boundary, each run checked by the environment oracles and
+// the workload's own invariants.
 
 /// Environment-level oracle checks every injected run must pass, plus the
 /// recovery probe: with the injector disarmed and pressure cleared, a
@@ -603,210 +600,127 @@ std::optional<std::string> envOracles(sim::SimMemEnv& env) {
   return std::nullopt;
 }
 
-struct RunOutcome {
-  std::optional<std::string> bad;
-  uint64_t denials = 0;
-};
+constexpr sim::MemFaultKind kMemKinds[] = {
+    sim::MemFaultKind::kDeny, sim::MemFaultKind::kBurst,
+    sim::MemFaultKind::kCliff, sim::MemFaultKind::kPoison};
 
-RunOutcome runInjected(const MemWorkloadFactory& factory,
-                       const sim::MemFaultSchedule& schedule) {
-  RunOutcome out;
-  auto inst = factory();
-  sim::SimMemEnv env;
-  env.setFaults(schedule);
-  try {
-    inst->run(env);
-  } catch (const std::exception& e) {
-    out.bad = std::string("uncaught exception crossed the workload: ") +
-              e.what();
+struct OomEnv {
+  using Fault = sim::MemFault;
+  using Outcome = RunOutcome<Fault>;
+  struct Workload {
+    std::string name;
+    MemWorkloadFactory make;
+  };
+
+  static constexpr bool kCrashes = false;
+  static constexpr const char* kPointsKey = "points";
+  static constexpr const char* kOpKey = "fail_at_op";
+  static constexpr const char* kPlantedKey = "broken_cache";
+
+  static void drawFault(std::mt19937_64& rng, Fault& f) {
+    f.kind = kMemKinds[rng() % std::size(kMemKinds)];
+    f.param = f.kind == sim::MemFaultKind::kBurst ? 2 + rng() % 5 : 1;
   }
-  out.denials = env.denials();
-  if (!out.bad) out.bad = envOracles(env);
-  if (!out.bad) out.bad = inst->check(env);
-  return out;
-}
+  static void faultJson(std::ostream& out, const Fault& f) {
+    out << "{\"op\": " << f.opIndex << ", \"kind\": \""
+        << sim::memFaultKindName(f.kind) << "\", \"param\": " << f.param
+        << "}";
+  }
 
-/// Probe fault-free to count reservation boundaries, then re-run with a
-/// single fault (kinds cycled) at stride-sampled reservation indices.
-WorkloadOomStats exploreWorkload(const std::string& name,
-                                 const MemWorkloadFactory& factory,
-                                 const OomExploreConfig& cfg,
-                                 std::vector<OomViolation>& details) {
-  WorkloadOomStats stats;
-  stats.name = name;
+  uint64_t seed;
+  size_t pointsPerWorkload;
 
-  {
-    auto inst = factory();
+  /// Fault-free run: counts the reservation boundaries; the environment
+  /// oracles and the workload's invariants must already hold.
+  Outcome probe(const Workload& w, uint64_t& boundaries) const {
+    Outcome out;
+    const auto fail = [&](std::string detail) {
+      out.violations.push_back({w.name, -1, {}, "", 0, std::move(detail)});
+    };
+    auto inst = w.make();
     sim::SimMemEnv env;
     try {
       inst->run(env);
     } catch (const std::exception& e) {
-      ++stats.violations;
-      keepDetail(details, cfg.maxViolationDetails,
-                 {name, -1, {}, std::string("baseline threw: ") + e.what()});
+      fail(std::string("baseline threw: ") + e.what());
     }
-    stats.boundaries = env.opCount();
+    boundaries = env.opCount();
     if (auto bad = envOracles(env)) {
-      ++stats.violations;
-      keepDetail(details, cfg.maxViolationDetails,
-                 {name, -1, {}, "baseline: " + *bad});
+      fail("baseline: " + *bad);
     } else if (auto wbad = inst->check(env)) {
-      ++stats.violations;
-      keepDetail(details, cfg.maxViolationDetails,
-                 {name, -1, {}, "baseline: " + *wbad});
+      fail("baseline: " + *wbad);
     }
+    return out;
   }
 
-  static constexpr sim::MemFaultKind kKinds[] = {
-      sim::MemFaultKind::kDeny, sim::MemFaultKind::kBurst,
-      sim::MemFaultKind::kCliff, sim::MemFaultKind::kPoison};
-  const uint64_t span = std::max<uint64_t>(stats.boundaries, 1);
-  for (size_t p = 0; p < cfg.pointsPerWorkload; ++p) {
+  size_t sweepPoints(uint64_t) const { return pointsPerWorkload; }
+
+  /// Point p: one fault at a stride-sampled reservation index, kinds cycled.
+  Outcome inject(const Workload& w, size_t p, uint64_t boundaries) const {
+    const uint64_t span = std::max<uint64_t>(boundaries, 1);
     sim::MemFault fault;
-    fault.opIndex = (uint64_t(p) * span) / cfg.pointsPerWorkload;
-    fault.kind = kKinds[p % std::size(kKinds)];
+    fault.opIndex = (uint64_t(p) * span) / pointsPerWorkload;
+    fault.kind = kMemKinds[p % std::size(kMemKinds)];
     fault.param = fault.kind == sim::MemFaultKind::kBurst ? 4 : 1;
+    return runSchedule(w, {fault}, 0, int64_t(fault.opIndex));
+  }
 
-    const RunOutcome out = runInjected(factory, {fault});
-    ++stats.points;
-    stats.denials += out.denials;
-    if (out.bad) {
-      ++stats.violations;
-      keepDetail(details, cfg.maxViolationDetails,
-                 {name, int64_t(fault.opIndex), {fault}, *out.bad});
+  /// SimMemEnv draws no randomness, so `faultSeed` is unused.
+  Outcome runSchedule(const Workload& w, const sim::MemFaultSchedule& schedule,
+                      uint64_t /*faultSeed*/, int64_t atOp = -1) const {
+    Outcome out;
+    out.checks = 1;
+    auto inst = w.make();
+    sim::SimMemEnv env;
+    env.setFaults(schedule);
+    std::optional<std::string> bad;
+    try {
+      inst->run(env);
+    } catch (const std::exception& e) {
+      bad = std::string("uncaught exception crossed the workload: ") +
+            e.what();
     }
+    out.denials = env.denials();
+    if (!bad) bad = envOracles(env);
+    if (!bad) bad = inst->check(env);
+    if (bad) out.violations.push_back({w.name, atOp, schedule, "", 0, *bad});
+    return out;
   }
-  return stats;
-}
-
-sim::MemFaultSchedule randomMemSchedule(std::mt19937_64& rng, uint64_t maxOp,
-                                        size_t maxFaults) {
-  static constexpr sim::MemFaultKind kKinds[] = {
-      sim::MemFaultKind::kDeny, sim::MemFaultKind::kBurst,
-      sim::MemFaultKind::kCliff, sim::MemFaultKind::kPoison};
-  const size_t n = 1 + rng() % maxFaults;
-  sim::MemFaultSchedule schedule;
-  for (size_t i = 0; i < n; ++i) {
-    sim::MemFault f;
-    f.opIndex = rng() % maxOp;
-    f.kind = kKinds[rng() % std::size(kKinds)];
-    f.param = f.kind == sim::MemFaultKind::kBurst ? 2 + rng() % 5 : 1;
-    schedule.push_back(f);
-  }
-  std::sort(schedule.begin(), schedule.end(),
-            [](const sim::MemFault& a, const sim::MemFault& b) {
-              return a.opIndex < b.opIndex;
-            });
-  return schedule;
-}
-
-// ---------------------------------------------------------------------------
-// JSON
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string memScheduleJson(const sim::MemFaultSchedule& schedule) {
-  std::ostringstream out;
-  out << '[';
-  for (size_t i = 0; i < schedule.size(); ++i) {
-    out << (i ? ", " : "") << "{\"op\": " << schedule[i].opIndex
-        << ", \"kind\": \"" << sim::memFaultKindName(schedule[i].kind)
-        << "\", \"param\": " << schedule[i].param << "}";
-  }
-  out << ']';
-  return out.str();
-}
+};
 
 }  // namespace
-
-sim::MemFaultSchedule shrinkMemSchedule(
-    const sim::MemFaultSchedule& schedule,
-    const std::function<bool(const sim::MemFaultSchedule&)>& fails) {
-  return ddminShrink(schedule, fails);
-}
 
 OomEvalResult runOomEval(const OomExploreConfig& config) {
   OomEvalResult result;
   const FleetFixture fx = makeFleetFixture(config);
+  const OomEnv env{config.seed, config.pointsPerWorkload};
 
-  const MemWorkloadFactory fleetSteadyF = [&config, &fx] {
-    return std::make_unique<FleetMemWorkload>(config, fx, FleetMode::kSteady,
-                                              /*attachMem=*/true);
+  const auto fleet = [&config, &fx](FleetMode mode) {
+    return [&config, &fx, mode] {
+      return std::make_unique<FleetMemWorkload>(config, fx, mode,
+                                                /*attachMem=*/true);
+    };
   };
-  const MemWorkloadFactory connectStormF = [&config, &fx] {
-    return std::make_unique<FleetMemWorkload>(
-        config, fx, FleetMode::kConnectStorm, /*attachMem=*/true);
+  const std::vector<OomEnv::Workload> workloads = {
+      {"fleet_steady", fleet(FleetMode::kSteady)},
+      {"connect_storm", fleet(FleetMode::kConnectStorm)},
+      {"replay_fanout",
+       [&config] { return std::make_unique<ReplayFanoutWorkload>(config); }},
+      {"tracker_ghost_burst",
+       [&config] {
+         return std::make_unique<TrackerGhostBurstWorkload>(config);
+       }},
+      {"checkpoint_save", fleet(FleetMode::kCheckpointSave)},
   };
-  const MemWorkloadFactory checkpointF = [&config, &fx] {
-    return std::make_unique<FleetMemWorkload>(
-        config, fx, FleetMode::kCheckpointSave, /*attachMem=*/true);
-  };
-  const MemWorkloadFactory replayF = [&config] {
-    return std::make_unique<ReplayFanoutWorkload>(config);
-  };
-  const MemWorkloadFactory trackerF = [&config] {
-    return std::make_unique<TrackerGhostBurstWorkload>(config);
-  };
-
-  const std::pair<const char*, const MemWorkloadFactory*> workloads[] = {
-      {"fleet_steady", &fleetSteadyF},   {"connect_storm", &connectStormF},
-      {"replay_fanout", &replayF},       {"tracker_ghost_burst", &trackerF},
-      {"checkpoint_save", &checkpointF},
-  };
-  for (const auto& [name, factory] : workloads) {
-    const WorkloadOomStats ws =
-        exploreWorkload(name, *factory, config, result.violations);
-    result.totalBoundaries += ws.boundaries;
-    result.totalPoints += ws.points;
-    result.totalViolations += ws.violations;
-    result.workloads.push_back(ws);
-  }
-
-  // Arm 2: seeded multi-fault schedules against the fleet steady-state
-  // path (the workload with the richest shedding ladder).
-  {
-    auto rng = sim::makeRng(sim::deriveSeed(config.seed, 0x5EA));
-    const uint64_t span = std::max<uint64_t>(
-        result.workloads.empty() ? 1 : result.workloads[0].boundaries, 1);
-    for (size_t r = 0; r < config.scheduleRounds; ++r) {
-      const sim::MemFaultSchedule schedule =
-          randomMemSchedule(rng, span, config.maxScheduleFaults);
-      const RunOutcome out = runInjected(fleetSteadyF, schedule);
-      ++result.scheduleRuns;
-      result.scheduleDenials += out.denials;
-      if (out.bad) {
-        ++result.scheduleViolations;
-        keepDetail(result.violations, config.maxViolationDetails,
-                   {"fleet_steady/schedule", -1, schedule, *out.bad});
-      }
-    }
-    result.totalViolations += result.scheduleViolations;
-  }
+  exploreWorkloads(env, workloads, result);
+  // Multi-fault schedules against the fleet steady-state path (the
+  // workload with the richest shedding ladder).
+  searchSchedules(env, workloads, "fleet_steady", 0x5EA,
+                  config.scheduleRounds, config.maxScheduleFaults, result);
 
   // Parity gate: the seam itself must cost nothing.  Accounting off vs a
   // fault-free SimMemEnv attached -- fix streams bit-identical.
-  if (config.runParityGate) {
-    result.parityChecked = true;
+  {
     FleetMemWorkload off(config, fx, FleetMode::kSteady,
                          /*attachMem=*/false);
     sim::SimMemEnv offEnv;
@@ -822,8 +736,7 @@ OomEvalResult runOomEval(const OomExploreConfig& config) {
   // Pressure arm: shard budgets from a probe run's per-shard peak, scaled
   // so the fleet ends around 1/factor (~80%) utilization -- inside the
   // mem-degraded band, trimming but never losing sessions.
-  if (config.runPressureArm) {
-    result.pressureChecked = true;
+  {
     FleetMemWorkload probe(config, fx, FleetMode::kSteady,
                            /*attachMem=*/true);
     sim::SimMemEnv probeEnv;
@@ -837,8 +750,8 @@ OomEvalResult runOomEval(const OomExploreConfig& config) {
 
     FleetMemWorkload pressured(config, fx, FleetMode::kSteady,
                                /*attachMem=*/true, budget);
-    sim::SimMemEnv env;
-    pressured.run(env);
+    sim::SimMemEnv memEnv;
+    pressured.run(memEnv);
     result.pressureFixRate = pressured.fixRate();
     result.pressureTrims = pressured.stats().memTrims;
     result.pressureEjections = pressured.stats().memEjections;
@@ -846,128 +759,82 @@ OomEvalResult runOomEval(const OomExploreConfig& config) {
     result.pressureUtilization =
         static_cast<double>(pressured.stats().memPeakBytes) /
         static_cast<double>(budget * config.fleetShards);
-    result.pressureRecovered =
-        env.usedBytes() == 0 && !env.underflow() && !env.budgetExceeded();
+    result.pressureRecovered = memEnv.usedBytes() == 0 &&
+                               !memEnv.underflow() && !memEnv.budgetExceeded();
   }
 
-  // Arm 3: the falsification proof.
-  if (config.exploreBrokenCache) {
-    const MemWorkloadFactory brokenF = [&config] {
-      return std::make_unique<BrokenShedCacheWorkload>(config.brokenCacheOps);
-    };
-    // Exploration must catch it: a single deny anywhere in range makes the
-    // cache over-release and the underflow oracle fire at teardown.
-    for (size_t k = 0; k < config.brokenCacheOps &&
-                       !result.brokenCacheCaught;
-         k += std::max<size_t>(config.brokenCacheOps / 16, 1)) {
-      auto inst = brokenF();
-      sim::SimMemEnv env;
-      env.setFailAt(int64_t(k));
-      inst->run(env);
-      if (env.underflow()) result.brokenCacheCaught = true;
-    }
-
-    const auto fails = [&brokenF](const sim::MemFaultSchedule& schedule) {
-      auto inst = brokenF();
-      sim::SimMemEnv env;
-      env.setFaults(schedule);
-      inst->run(env);
-      return env.underflow();
-    };
-    auto rng = sim::makeRng(sim::deriveSeed(config.seed, 0xB0B));
-    sim::MemFaultSchedule failing;
-    for (size_t r = 0; r < config.brokenSearchRounds && failing.empty();
-         ++r) {
-      const sim::MemFaultSchedule candidate = randomMemSchedule(
-          rng, std::max<uint64_t>(config.brokenCacheOps, 1),
-          config.maxScheduleFaults);
-      if (fails(candidate)) failing = candidate;
-    }
-    if (!failing.empty()) {
-      result.brokenScheduleFound = true;
-      result.brokenScheduleFaults = failing.size();
-      const sim::MemFaultSchedule shrunk = shrinkMemSchedule(failing, fails);
-      result.brokenShrunkFaults = shrunk.size();
-      std::ostringstream artifact;
-      artifact << "{\"workload\": \"broken_shed_cache\", \"ops\": "
-               << config.brokenCacheOps
-               << ", \"schedule\": " << memScheduleJson(shrunk)
-               << ", \"detail\": \"accounting underflow: release without "
-                  "reserve\"}";
-      result.brokenArtifactJson = artifact.str();
-    }
+  // Falsification arm.  Exploration must catch the planted bug: a single
+  // deny anywhere in range makes the cache over-release and the underflow
+  // oracle fire at teardown.
+  const auto runBroken = [&config](auto arm) {
+    BrokenShedCacheWorkload inst(config.brokenCacheOps);
+    sim::SimMemEnv memEnv;
+    arm(memEnv);
+    inst.run(memEnv);
+    return memEnv.underflow();
+  };
+  for (size_t k = 0; k < config.brokenCacheOps && !result.brokenCaught;
+       k += std::max<size_t>(config.brokenCacheOps / 16, 1)) {
+    result.brokenCaught =
+        runBroken([k](sim::SimMemEnv& e) { e.setFailAt(int64_t(k)); });
   }
+  const auto fails = [&runBroken](const sim::MemFaultSchedule& schedule) {
+    return runBroken([&schedule](sim::SimMemEnv& e) { e.setFaults(schedule); });
+  };
+  shrinkPlantedBug(
+      env, "broken_shed_cache",
+      "\"ops\": " + std::to_string(config.brokenCacheOps), 0xB0B,
+      config.brokenSearchRounds, config.brokenCacheOps,
+      config.maxScheduleFaults, fails,
+      [](const sim::MemFaultSchedule&) {
+        return std::string(
+            ", \"detail\": \"accounting underflow: release without "
+            "reserve\"");
+      },
+      result);
 
-  const bool brokenOk =
-      !config.exploreBrokenCache ||
-      (result.brokenCacheCaught && result.brokenScheduleFound &&
-       result.brokenShrunkFaults >= 1 &&
-       result.brokenShrunkFaults <= result.brokenScheduleFaults);
-  const bool parityOk = !config.runParityGate || result.parityBitIdentical;
-  const bool pressureOk =
-      !config.runPressureArm ||
-      (result.pressureFixRate >= config.pressureMinFixRate &&
-       result.pressureRecovered);
-  result.pass =
-      result.totalViolations == 0 && brokenOk && parityOk && pressureOk;
+  const bool pressureOk = result.pressureFixRate >= config.pressureMinFixRate &&
+                          result.pressureRecovered;
+  result.pass = result.totalViolations == 0 && result.brokenCaught &&
+                result.brokenShrunk() && result.parityBitIdentical &&
+                pressureOk;
   return result;
 }
 
-std::string oomJson(const OomEvalResult& result) {
-  std::ostringstream out;
-  out << "{\n  \"workloads\": [\n";
-  for (size_t i = 0; i < result.workloads.size(); ++i) {
-    const WorkloadOomStats& w = result.workloads[i];
-    out << "    {\"name\": \"" << jsonEscape(w.name)
-        << "\", \"boundaries\": " << w.boundaries
-        << ", \"points\": " << w.points << ", \"denials\": " << w.denials
-        << ", \"violations\": " << w.violations << '}'
-        << (i + 1 < result.workloads.size() ? "," : "") << '\n';
-  }
-  out << "  ],\n";
-  out << "  \"total_boundaries\": " << result.totalBoundaries << ",\n";
-  out << "  \"total_points\": " << result.totalPoints << ",\n";
-  out << "  \"total_violations\": " << result.totalViolations << ",\n";
-  out << "  \"schedule_search\": {\"runs\": " << result.scheduleRuns
-      << ", \"denials\": " << result.scheduleDenials
-      << ", \"violations\": " << result.scheduleViolations << "},\n";
-  out << "  \"parity\": {\"checked\": "
-      << (result.parityChecked ? "true" : "false") << ", \"bit_identical\": "
-      << (result.parityBitIdentical ? "true" : "false")
-      << ", \"baseline_digest\": \"" << result.parityBaselineDigest
-      << "\", \"seam_digest\": \"" << result.paritySeamDigest << "\"},\n";
-  out << "  \"pressure\": {\"checked\": "
-      << (result.pressureChecked ? "true" : "false")
-      << ", \"fix_rate\": " << result.pressureFixRate
-      << ", \"utilization\": " << result.pressureUtilization
-      << ", \"shard_budget_bytes\": " << result.pressureShardBudgetBytes
-      << ", \"trims\": " << result.pressureTrims
-      << ", \"ejections\": " << result.pressureEjections
-      << ", \"denied_reserves\": " << result.pressureDeniedReserves
-      << ", \"recovered\": " << (result.pressureRecovered ? "true" : "false")
-      << "},\n";
-  out << "  \"broken_cache\": {\"caught\": "
-      << (result.brokenCacheCaught ? "true" : "false")
-      << ", \"schedule_found\": "
-      << (result.brokenScheduleFound ? "true" : "false")
-      << ", \"schedule_faults\": " << result.brokenScheduleFaults
-      << ", \"shrunk_faults\": " << result.brokenShrunkFaults
-      << ", \"artifact\": "
-      << (result.brokenArtifactJson.empty() ? "null"
-                                            : result.brokenArtifactJson)
-      << "},\n";
-  out << "  \"violations\": [\n";
-  for (size_t i = 0; i < result.violations.size(); ++i) {
-    const OomViolation& v = result.violations[i];
-    out << "    {\"workload\": \"" << jsonEscape(v.workload)
-        << "\", \"fail_at_op\": " << v.failAtOp
-        << ", \"schedule\": " << memScheduleJson(v.schedule)
-        << ", \"detail\": \"" << jsonEscape(v.detail) << "\"}"
-        << (i + 1 < result.violations.size() ? "," : "") << '\n';
-  }
-  out << "  ],\n";
-  out << "  \"pass\": " << (result.pass ? "true" : "false") << "\n}\n";
-  return out.str();
+std::string oomJson(const OomEvalResult& r) {
+  std::ostringstream arms;
+  // "checked" stays in the payload schema; both gates always run.
+  arms << "  \"parity\": {\"checked\": true, \"bit_identical\": "
+       << (r.parityBitIdentical ? "true" : "false")
+       << ", \"baseline_digest\": \"" << r.parityBaselineDigest
+       << "\", \"seam_digest\": \"" << r.paritySeamDigest << "\"},\n";
+  arms << "  \"pressure\": {\"checked\": true, \"fix_rate\": "
+       << r.pressureFixRate << ", \"utilization\": " << r.pressureUtilization
+       << ", \"shard_budget_bytes\": " << r.pressureShardBudgetBytes
+       << ", \"trims\": " << r.pressureTrims
+       << ", \"ejections\": " << r.pressureEjections
+       << ", \"denied_reserves\": " << r.pressureDeniedReserves
+       << ", \"recovered\": " << (r.pressureRecovered ? "true" : "false")
+       << "},\n";
+  return exploreJson<OomEnv>(r, arms.str());
+}
+
+std::string oomReport(const OomEvalResult& r) {
+  char arms[512];
+  std::snprintf(
+      arms, sizeof(arms),
+      "parity: %s (baseline %s, seam %s)\n"
+      "pressure: fix rate %.4f at %.1f%% utilization (budget %llu B/shard), "
+      "%llu trims, %llu ejections, %llu denied reserves, recovered %s\n",
+      r.parityBitIdentical ? "bit-identical" : "DIVERGED",
+      r.parityBaselineDigest.c_str(), r.paritySeamDigest.c_str(),
+      r.pressureFixRate, 100.0 * r.pressureUtilization,
+      static_cast<unsigned long long>(r.pressureShardBudgetBytes),
+      static_cast<unsigned long long>(r.pressureTrims),
+      static_cast<unsigned long long>(r.pressureEjections),
+      static_cast<unsigned long long>(r.pressureDeniedReserves),
+      r.pressureRecovered ? "yes" : "NO");
+  return exploreReport<OomEnv>(r, arms);
 }
 
 }  // namespace tagspin::eval

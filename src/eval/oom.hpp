@@ -1,8 +1,9 @@
 // Resource-exhaustion evaluation: the systematic falsifier for every
 // memory-pressure claim in the tree, the allocation twin of eval/crash.
 //
-// Three escalating attacks, all against sim::SimMemEnv (never the real
-// allocator), all fully deterministic:
+// The three escalating attacks of the fault-point explorer
+// (eval/explore.hpp), all against sim::SimMemEnv (never the real
+// allocator):
 //
 //  1. Exhaustive allocation-failure exploration.  Five workloads -- the
 //     fleet at steady state, a session connect storm, a capture-replay
@@ -30,8 +31,7 @@
 //     classic release-without-reserve accounting bug -- is swept by the
 //     same explorer; it must be caught (underflow oracle), and a failing
 //     schedule found by search must shrink via ddmin to a minimal
-//     replayable artifact.  A harness that cannot flag a planted bug
-//     proves nothing by passing.
+//     replayable artifact.
 //
 // Two paired gates ride along: the PARITY gate runs the fleet once with
 // memory accounting off and once with a fault-free SimMemEnv attached and
@@ -39,13 +39,15 @@
 // the PRESSURE arm sizes shard budgets to ~80% end-state utilization from
 // a probe run and requires the fleet to keep >= 99% of sessions fixed
 // while trimming under sustained pressure.
+//
+// This file plugs in the workloads, the environment oracles and those two
+// gates; the explorer owns the loops, tallies and output.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <vector>
 
+#include "eval/explore.hpp"
 #include "sim/mem_sim.hpp"
 
 namespace tagspin::eval {
@@ -83,63 +85,27 @@ struct OomExploreConfig {
   size_t scheduleRounds = 24;
   size_t maxScheduleFaults = 4;
 
-  /// Run the planted release-without-reserve falsification arm.
-  bool exploreBrokenCache = true;
+  /// Planted release-without-reserve cache: operations per run, and
+  /// schedules tried before giving up on finding a failing one to shrink.
   size_t brokenCacheOps = 64;
   size_t brokenSearchRounds = 200;
 
-  /// Run the zero-injection parity gate (accounting off vs attached).
-  bool runParityGate = true;
-
-  /// Run the sustained-pressure arm: shard budgets sized to
-  /// pressureBudgetFactor x the probe run's per-shard peak (1.25 => ~80%
-  /// end-state utilization), fix rate must stay >= pressureMinFixRate.
-  bool runPressureArm = true;
+  /// Sustained-pressure arm: shard budgets sized to pressureBudgetFactor x
+  /// the probe run's per-shard peak (1.25 => ~80% end-state utilization),
+  /// fix rate must stay >= pressureMinFixRate.
   double pressureBudgetFactor = 1.25;
   double pressureMinFixRate = 0.99;
-
-  /// Violations kept with full detail (counts are always exact).
-  size_t maxViolationDetails = 32;
 };
 
-/// One invariant violation, with everything needed to replay it.
-struct OomViolation {
-  std::string workload;
-  /// Reservation index of the injected fault; -1 for schedule-driven or
-  /// fault-free runs.
-  int64_t failAtOp = -1;
-  sim::MemFaultSchedule schedule;  // empty for fault-free runs
-  std::string detail;
-};
-
-struct WorkloadOomStats {
-  std::string name;
-  uint64_t boundaries = 0;  // reservation boundaries in the probe run
-  uint64_t points = 0;      // injected runs explored
-  uint64_t denials = 0;     // total denials injected across the points
-  uint64_t violations = 0;
-};
-
-struct OomEvalResult {
-  std::vector<WorkloadOomStats> workloads;
-  uint64_t totalBoundaries = 0;
-  uint64_t totalPoints = 0;
-  uint64_t totalViolations = 0;
-  std::vector<OomViolation> violations;  // capped at maxViolationDetails
-
-  // Fault-schedule search over the fleet steady-state path.
-  uint64_t scheduleRuns = 0;
-  uint64_t scheduleDenials = 0;
-  uint64_t scheduleViolations = 0;
-
+/// Points are injected runs (one fault each); the planted bug is the
+/// release-without-reserve cache.
+struct OomEvalResult : ExploreResult<sim::MemFault> {
   // Zero-injection parity gate.
-  bool parityChecked = false;
   bool parityBitIdentical = false;
   std::string parityBaselineDigest;  // accounting off
   std::string paritySeamDigest;      // SimMemEnv attached, no faults
 
   // Sustained-pressure arm.
-  bool pressureChecked = false;
   double pressureFixRate = 0.0;
   double pressureUtilization = 0.0;  // peak / (shards * budget)
   uint64_t pressureShardBudgetBytes = 0;
@@ -147,18 +113,6 @@ struct OomEvalResult {
   uint64_t pressureEjections = 0;
   uint64_t pressureDeniedReserves = 0;
   bool pressureRecovered = false;  // accounting returned to zero after
-
-  // Falsification arm (planted release-without-reserve cache).
-  bool brokenCacheCaught = false;    // exploration flagged the underflow
-  bool brokenScheduleFound = false;  // search found a failing schedule
-  uint64_t brokenScheduleFaults = 0;
-  uint64_t brokenShrunkFaults = 0;  // after delta debugging
-  std::string brokenArtifactJson;   // minimal replayable artifact
-
-  /// Zero violations on the correct components, parity bit-identical,
-  /// pressure arm kept its fix rate, AND the planted bug was caught and
-  /// shrunk (for every arm that is enabled).
-  bool pass = false;
 };
 
 OomEvalResult runOomEval(const OomExploreConfig& config);
@@ -166,9 +120,7 @@ OomEvalResult runOomEval(const OomExploreConfig& config);
 /// Full result as JSON (the BENCH_oom.json payload).
 std::string oomJson(const OomEvalResult& result);
 
-/// ddmin (eval/ddmin.hpp) specialization for memory-fault schedules.
-sim::MemFaultSchedule shrinkMemSchedule(
-    const sim::MemFaultSchedule& schedule,
-    const std::function<bool(const sim::MemFaultSchedule&)>& fails);
+/// The text report fig_oom and `tagspin_cli oom` print.
+std::string oomReport(const OomEvalResult& result);
 
 }  // namespace tagspin::eval

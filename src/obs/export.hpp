@@ -19,6 +19,11 @@ namespace tagspin::obs {
 /// outside [a-zA-Z0-9_] becomes '_'.
 std::string prometheusName(const std::string& name);
 
+/// Body of a JSON string literal: quote, backslash, \n and \t escaped,
+/// other control bytes as \u00XX.  Shared by these exporters and the fault
+/// explorer (eval/explore.hpp).
+std::string jsonEscape(const std::string& s);
+
 std::string toPrometheus(const MetricsSnapshot& snapshot);
 
 /// JSON object {"counters": {...}, "gauges": {...}, "histograms": {...}}

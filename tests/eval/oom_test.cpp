@@ -2,43 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 namespace tagspin::eval {
 namespace {
-
-sim::MemFaultSchedule schedule(std::initializer_list<uint64_t> ops) {
-  sim::MemFaultSchedule s;
-  for (uint64_t op : ops) s.push_back({op, sim::MemFaultKind::kDeny, 1});
-  return s;
-}
-
-TEST(ShrinkMemSchedule, ReducesToTheSingleCulpritFault) {
-  const auto fails = [](const sim::MemFaultSchedule& s) {
-    return std::any_of(s.begin(), s.end(), [](const sim::MemFault& f) {
-      return f.opIndex == 11;
-    });
-  };
-  const sim::MemFaultSchedule shrunk =
-      shrinkMemSchedule(schedule({2, 5, 11, 17, 23, 31}), fails);
-  ASSERT_EQ(shrunk.size(), 1u);
-  EXPECT_EQ(shrunk[0].opIndex, 11u);
-}
-
-TEST(ShrinkMemSchedule, KeepsAConjunctionOfTwoFaults) {
-  const auto fails = [](const sim::MemFaultSchedule& s) {
-    const auto has = [&s](uint64_t op) {
-      return std::any_of(s.begin(), s.end(), [op](const sim::MemFault& f) {
-        return f.opIndex == op;
-      });
-    };
-    return has(3) && has(12);
-  };
-  const sim::MemFaultSchedule shrunk =
-      shrinkMemSchedule(schedule({0, 3, 6, 9, 12, 15, 18, 21}), fails);
-  ASSERT_EQ(shrunk.size(), 2u);
-  EXPECT_TRUE(fails(shrunk));
-}
 
 // A deliberately tiny exploration: a handful of points per workload, but
 // every arm of the harness exercised.  The full-size sweep lives in
@@ -58,7 +23,7 @@ TEST(OomEval, TinyExplorationHoldsEveryInvariant) {
   const OomEvalResult r = runOomEval(cfg);
 
   ASSERT_EQ(r.workloads.size(), 5u);
-  for (const WorkloadOomStats& w : r.workloads) {
+  for (const WorkloadStats& w : r.workloads) {
     EXPECT_GT(w.boundaries, 0u) << w.name;
     EXPECT_EQ(w.points, 4u) << w.name;
     EXPECT_EQ(w.violations, 0u) << w.name;
@@ -71,22 +36,21 @@ TEST(OomEval, TinyExplorationHoldsEveryInvariant) {
   // The injected points actually denied reservations (the harness is not
   // passing because the faults never fired).
   uint64_t denials = 0;
-  for (const WorkloadOomStats& w : r.workloads) denials += w.denials;
+  for (const WorkloadStats& w : r.workloads) denials += w.denials;
   EXPECT_GT(denials, 0u);
 
   // Parity: attaching a fault-free environment changes nothing.
-  EXPECT_TRUE(r.parityChecked);
+  EXPECT_FALSE(r.parityBaselineDigest.empty());
   EXPECT_TRUE(r.parityBitIdentical)
       << r.parityBaselineDigest << " vs " << r.paritySeamDigest;
 
   // Pressure: the budgeted fleet kept its fix rate and returned to zero.
-  EXPECT_TRUE(r.pressureChecked);
   EXPECT_GE(r.pressureFixRate, cfg.pressureMinFixRate);
   EXPECT_TRUE(r.pressureRecovered);
   EXPECT_GT(r.pressureShardBudgetBytes, 0u);
 
   // Falsification: the planted accounting bug is caught and shrunk.
-  EXPECT_TRUE(r.brokenCacheCaught);
+  EXPECT_TRUE(r.brokenCaught);
   EXPECT_TRUE(r.brokenScheduleFound);
   EXPECT_GE(r.brokenShrunkFaults, 1u);
   EXPECT_LE(r.brokenShrunkFaults, r.brokenScheduleFaults);
@@ -110,8 +74,6 @@ TEST(OomEval, SameSeedSameResult) {
   cfg.replayReports = 24;
   cfg.trackerFixes = 40;
   cfg.trackerHistoryLimit = 16;
-  cfg.exploreBrokenCache = false;
-  cfg.runPressureArm = false;
 
   const OomEvalResult a = runOomEval(cfg);
   const OomEvalResult b = runOomEval(cfg);

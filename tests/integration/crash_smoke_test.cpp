@@ -25,12 +25,12 @@ TEST(CrashSmoke, ExplorationSearchAndFalsificationAllPass) {
 
   // Every workload explored, every syscall boundary power-cut.
   ASSERT_EQ(r.workloads.size(), 5u);
-  for (const WorkloadCrashStats& w : r.workloads) {
+  for (const WorkloadStats& w : r.workloads) {
     EXPECT_GT(w.boundaries, 0u) << w.name;
-    EXPECT_GT(w.crashPoints, 0u) << w.name;
+    EXPECT_GT(w.points, 0u) << w.name;
     EXPECT_EQ(w.violations, 0u) << w.name;
   }
-  EXPECT_GE(r.totalCrashPoints, 500u);
+  EXPECT_GE(r.totalPoints, 500u);
   EXPECT_EQ(r.totalViolations, 0u)
       << (r.violations.empty() ? "" : r.violations[0].detail);
 
@@ -41,7 +41,7 @@ TEST(CrashSmoke, ExplorationSearchAndFalsificationAllPass) {
   EXPECT_EQ(r.scheduleViolations, 0u);
 
   // The harness catches the planted bug and shrinks a failing schedule.
-  EXPECT_TRUE(r.brokenWriterCaught);
+  EXPECT_TRUE(r.brokenCaught);
   EXPECT_TRUE(r.brokenScheduleFound);
   EXPECT_GE(r.brokenShrunkFaults, 1u);
   EXPECT_FALSE(r.brokenArtifactJson.empty());

@@ -66,6 +66,14 @@ TEST(ToJson, StableShapeWithAndWithoutJournal) {
   EXPECT_NE(withEvents.find("\"session\": \"reader0\""), std::string::npos);
 }
 
+TEST(JsonEscape, EscapesBackslashNewlineTabAndControlBytes) {
+  EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(jsonEscape("line\nnext"), "line\\nnext");
+  EXPECT_EQ(jsonEscape("col\tcol"), "col\\tcol");
+  EXPECT_EQ(jsonEscape(std::string("x\x01y")), "x\\u0001y");
+  EXPECT_EQ(jsonEscape("plain"), "plain");
+}
+
 TEST(WriteTextFile, RoundTripsAndReportsFailure) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "tagspin_export_test.prom")

@@ -62,8 +62,16 @@
 //       generator.  Prints the fix and its digest -- replaying the same
 //       capture twice prints the same digest, bit for bit.
 //
+//   tagspin_cli crash [--seed N] [--reports N] [--schedule-rounds N]
+//                     [--json[=PATH]]
+//       Crash-consistency falsifier: a power cut at every syscall boundary
+//       of the checkpoint, capture and fleet fan-out writers (simulated
+//       storage only -- the real disk is never touched), each post-crash
+//       disk recovered under every persistence variant, plus the seeded
+//       fault-schedule search and the planted fsync-ordering bug that must
+//       be caught and shrunk.  --reports sets the capture workloads' size.
+//
 //   tagspin_cli oom [--seed N] [--points N] [--schedule-rounds N]
-//                   [--no-broken-cache] [--no-pressure] [--no-parity]
 //                   [--json[=PATH]]
 //       Resource-exhaustion falsifier: allocation failures injected at
 //       every sampled reservation boundary of the fleet, replay, tracker
@@ -71,6 +79,11 @@
 //       is never pressured), plus the zero-cost parity gate, the
 //       sustained-pressure fix-rate arm, and the planted accounting bug
 //       that must be caught and shrunk.
+//
+//   Both print the explorer's report (eval/explore.hpp) and PASS or FAIL,
+//   and exit nonzero on FAIL.  --json writes the full result to PATH
+//   (default crash.json / oom.json): the same payload fig_crash and
+//   fig_oom write.
 //
 // The locate path touches no simulator code: it is exactly what a server
 // attached to a real reader would run.
@@ -114,12 +127,15 @@ namespace {
 struct Args {
   std::map<std::string, std::string> named;
   bool has(const std::string& k) const { return named.count(k) > 0; }
+  /// The flag's value; `fallback` when it is absent or given bare.
   std::string get(const std::string& k, const std::string& fallback) const {
     const auto it = named.find(k);
-    return it == named.end() ? fallback : it->second;
+    return it == named.end() || it->second.empty() ? fallback : it->second;
   }
 };
 
+/// "--key value", "--key=value", or a bare "--key" (a boolean flag, or a
+/// flag whose value defaults: "--json" alone writes the default path).
 Args parseArgs(int argc, char** argv, int from) {
   Args args;
   for (int i = from; i < argc; ++i) {
@@ -128,10 +144,13 @@ Args parseArgs(int argc, char** argv, int from) {
       throw std::invalid_argument("expected --flag, got: " + key);
     }
     key = key.substr(2);
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+    const size_t eq = key.find('=');
+    if (eq != std::string::npos) {
+      args.named[key.substr(0, eq)] = key.substr(eq + 1);
+    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       args.named[key] = argv[++i];
     } else {
-      args.named[key] = "1";  // boolean flag
+      args.named[key] = "";
     }
   }
   return args;
@@ -759,8 +778,18 @@ int cmdTrack(const Args& args) {
   return (r.replayDeterministic && r.outageSurvived) ? 0 : 1;
 }
 
+/// The crash and oom verbs' shared tail: print the explorer's report, write
+/// the JSON result for --json[=PATH], print and return the verdict.
+int finishFalsifier(const Args& args, bool pass, const std::string& report,
+                    const std::string& json, const std::string& jsonPath) {
+  std::printf("%s", report.c_str());
+  if (args.has("json")) std::ofstream(args.get("json", jsonPath)) << json;
+  std::printf("%s\n", pass ? "PASS" : "FAIL");
+  return pass ? 0 : 1;
+}
+
 /// crash: run the crash-consistency falsifier (simulated storage only --
-/// nothing on the real disk is touched).  --json=PATH dumps the full
+/// nothing on the real disk is touched).  --json[=PATH] dumps the full
 /// result; any violation or a missed planted bug exits nonzero.
 int cmdCrash(const Args& args) {
   eval::CrashExploreConfig cfg;
@@ -769,42 +798,14 @@ int cmdCrash(const Args& args) {
       args.get("reports", std::to_string(cfg.captureReports)));
   cfg.scheduleRounds = std::stoul(
       args.get("schedule-rounds", std::to_string(cfg.scheduleRounds)));
-  if (args.has("no-broken-writer")) cfg.exploreBrokenWriter = false;
 
   const eval::CrashEvalResult r = eval::runCrashEval(cfg);
-  for (const eval::WorkloadCrashStats& w : r.workloads) {
-    std::printf("%-22s %6llu boundaries  %7llu crash points  %llu "
-                "violations\n", w.name.c_str(),
-                static_cast<unsigned long long>(w.boundaries),
-                static_cast<unsigned long long>(w.crashPoints),
-                static_cast<unsigned long long>(w.violations));
-  }
-  std::printf("schedule search: %llu runs, %llu violations\n",
-              static_cast<unsigned long long>(r.scheduleRuns),
-              static_cast<unsigned long long>(r.scheduleViolations));
-  if (cfg.exploreBrokenWriter) {
-    std::printf("planted bug: caught %s, shrunk to %llu fault(s)\n",
-                r.brokenWriterCaught ? "yes" : "NO",
-                static_cast<unsigned long long>(r.brokenShrunkFaults));
-    if (!r.brokenArtifactJson.empty()) {
-      std::printf("minimal artifact: %s\n", r.brokenArtifactJson.c_str());
-    }
-  }
-  for (const eval::CrashViolation& v : r.violations) {
-    std::printf("VIOLATION [%s] crashAtOp=%lld persist=%s: %s\n",
-                v.workload.c_str(), static_cast<long long>(v.crashAtOp),
-                v.persistMode.c_str(), v.detail.c_str());
-  }
-  if (args.has("json")) {
-    std::ofstream out(args.get("json", "crash.json"));
-    out << eval::crashJson(r);
-  }
-  std::printf("%s\n", r.pass ? "PASS" : "FAIL");
-  return r.pass ? 0 : 1;
+  return finishFalsifier(args, r.pass, eval::crashReport(r),
+                         eval::crashJson(r), "crash.json");
 }
 
 /// oom: run the resource-exhaustion falsifier (simulated allocator only --
-/// the process's real heap is never pressured).  --json=PATH dumps the
+/// the process's real heap is never pressured).  --json[=PATH] dumps the
 /// full result; any violation, parity divergence, pressure fix-rate miss,
 /// or missed planted bug exits nonzero.
 int cmdOom(const Args& args) {
@@ -814,51 +815,10 @@ int cmdOom(const Args& args) {
       args.get("points", std::to_string(cfg.pointsPerWorkload)));
   cfg.scheduleRounds = std::stoul(
       args.get("schedule-rounds", std::to_string(cfg.scheduleRounds)));
-  if (args.has("no-broken-cache")) cfg.exploreBrokenCache = false;
-  if (args.has("no-pressure")) cfg.runPressureArm = false;
-  if (args.has("no-parity")) cfg.runParityGate = false;
 
   const eval::OomEvalResult r = eval::runOomEval(cfg);
-  for (const eval::WorkloadOomStats& w : r.workloads) {
-    std::printf("%-22s %6llu boundaries  %7llu points  %6llu denials  %llu "
-                "violations\n", w.name.c_str(),
-                static_cast<unsigned long long>(w.boundaries),
-                static_cast<unsigned long long>(w.points),
-                static_cast<unsigned long long>(w.denials),
-                static_cast<unsigned long long>(w.violations));
-  }
-  std::printf("schedule search: %llu runs, %llu violations\n",
-              static_cast<unsigned long long>(r.scheduleRuns),
-              static_cast<unsigned long long>(r.scheduleViolations));
-  if (r.parityChecked) {
-    std::printf("parity: %s\n",
-                r.parityBitIdentical ? "bit-identical" : "DIVERGED");
-  }
-  if (r.pressureChecked) {
-    std::printf("pressure: fix rate %.4f at %.1f%% utilization, %llu trims, "
-                "%llu ejections\n",
-                r.pressureFixRate, 100.0 * r.pressureUtilization,
-                static_cast<unsigned long long>(r.pressureTrims),
-                static_cast<unsigned long long>(r.pressureEjections));
-  }
-  if (cfg.exploreBrokenCache) {
-    std::printf("planted bug: caught %s, shrunk to %llu fault(s)\n",
-                r.brokenCacheCaught ? "yes" : "NO",
-                static_cast<unsigned long long>(r.brokenShrunkFaults));
-    if (!r.brokenArtifactJson.empty()) {
-      std::printf("minimal artifact: %s\n", r.brokenArtifactJson.c_str());
-    }
-  }
-  for (const eval::OomViolation& v : r.violations) {
-    std::printf("VIOLATION [%s] failAtOp=%lld: %s\n", v.workload.c_str(),
-                static_cast<long long>(v.failAtOp), v.detail.c_str());
-  }
-  if (args.has("json")) {
-    std::ofstream out(args.get("json", "oom.json"));
-    out << eval::oomJson(r);
-  }
-  std::printf("%s\n", r.pass ? "PASS" : "FAIL");
-  return r.pass ? 0 : 1;
+  return finishFalsifier(args, r.pass, eval::oomReport(r), eval::oomJson(r),
+                         "oom.json");
 }
 
 int cmdStats(const Args& args) {
