@@ -17,13 +17,21 @@
 // from; metrics are the headline numbers worth trending without parsing
 // the payload.  The payload embeds the harness's own JSON object verbatim
 // (it must be a well-formed object; "" omits the key).
+//
+// numberArg() reads a bench's numeric positionals (trial counts, sizes,
+// durations) strictly, the one way every bench does.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -92,6 +100,31 @@ inline void writeBenchSidecar(const std::string& path,
   out << record.toJson();
   std::printf("wrote %s (pass=%s)\n", path.c_str(),
               record.allGatesPass() ? "true" : "false");
+}
+
+/// Positional `index` of a bench's command line as a T, or `fallback` when
+/// there are fewer positionals.  An integral T takes a whole number (digits
+/// only), a floating T a finite non-negative decimal.  Anything else -- say
+/// "x.json" from `--json x.json`, which means `--json=x.json` -- prints the
+/// bench's `usage` line and exits 2 before the bench runs or writes a file.
+template <class T>
+T numberArg(const std::vector<std::string>& pos, size_t index, T fallback,
+            const char* usage) {
+  if (index >= pos.size()) return fallback;
+  const std::string& text = pos[index];
+  const char* end = text.data() + text.size();
+  T value{};
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  bool ok = !text.empty() && text[0] != '-' && error == std::errc() &&
+            stop == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    std::fprintf(stderr, "not a %s: '%s'\nusage: %s\n",
+                 std::is_integral_v<T> ? "whole number" : "number",
+                 text.c_str(), usage);
+    std::exit(2);
+  }
+  return value;
 }
 
 }  // namespace tagspin::bench

@@ -19,6 +19,9 @@
 
 using namespace tagspin;
 
+constexpr char kUsage[] =
+    "fig10_localization_cdf [--seed=N] [--json[=PATH]] [trials2d trials3d]";
+
 int main(int argc, char** argv) {
   uint64_t seed = 99;  // the eval::RunnerConfig default
   std::string sidecarPath;
@@ -35,8 +38,8 @@ int main(int argc, char** argv) {
       pos.push_back(arg);
     }
   }
-  const int trials2d = pos.size() > 0 ? std::atoi(pos[0].c_str()) : 30;
-  const int trials3d = pos.size() > 1 ? std::atoi(pos[1].c_str()) : 16;
+  const int trials2d = bench::numberArg(pos, 0, 30, kUsage);
+  const int trials3d = bench::numberArg(pos, 1, 16, kUsage);
 
   dsp::Summary s2d, s3d;
 

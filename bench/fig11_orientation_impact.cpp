@@ -5,9 +5,11 @@
 // (b) Localization error CDFs with vs without the orientation-calibration
 //     step; the paper reports a ~1.7x mean improvement.
 #include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "core/preprocess.hpp"
 #include "eval/estimators.hpp"
 #include "eval/report.hpp"
@@ -17,8 +19,11 @@
 
 using namespace tagspin;
 
+constexpr char kUsage[] = "fig11_orientation_impact [trials]";
+
 int main(int argc, char** argv) {
-  const int trials = argc > 1 ? std::atoi(argv[1]) : 20;
+  const int trials = bench::numberArg(
+      std::vector<std::string>(argv + 1, argv + argc), 0, 20, kUsage);
 
   eval::printHeading("Fig. 11(a): mean relative phase vs tag orientation");
   {

@@ -7,14 +7,18 @@
 //  (c) tag diversity: the five Alien models perform nearly identically;
 //  (d) antenna diversity: the four reader ports perform nearly identically.
 #include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "eval/estimators.hpp"
 #include "eval/report.hpp"
 #include "rfid/tag_models.hpp"
 
 using namespace tagspin;
+
+constexpr char kUsage[] = "fig12_parameters [trials]";
 
 namespace {
 
@@ -32,7 +36,8 @@ eval::RunResult run2d(const sim::ScenarioConfig& sc, int trials,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int trials = argc > 1 ? std::atoi(argv[1]) : 10;
+  const int trials = bench::numberArg(
+      std::vector<std::string>(argv + 1, argv + argc), 0, 10, kUsage);
 
   eval::printHeading("Fig. 12(a): error vs distance between rig centers");
   {

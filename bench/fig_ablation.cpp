@@ -28,6 +28,8 @@
 
 using namespace tagspin;
 
+constexpr char kUsage[] = "fig_ablation [--seed=N] [--json[=PATH]] [trials]";
+
 namespace {
 
 eval::RunResult run2d(const sim::World& world, int trials, uint64_t seed,
@@ -59,7 +61,7 @@ int main(int argc, char** argv) {
       pos.push_back(arg);
     }
   }
-  const int trials = pos.size() > 0 ? std::atoi(pos[0].c_str()) : 10;
+  const int trials = bench::numberArg(pos, 0, 10, kUsage);
   // Offset for the sections with their own RNGs: zero at the default seed,
   // so `--seed` absent reproduces the historical output exactly.
   const uint64_t seedDelta = seed - 99;

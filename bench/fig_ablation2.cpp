@@ -34,6 +34,8 @@
 
 using namespace tagspin;
 
+constexpr char kUsage[] = "fig_ablation2 [--seed=N] [--json[=PATH]] [trials]";
+
 namespace {
 
 eval::RunResult run2d(const sim::World& world, int trials, double durationS,
@@ -65,7 +67,7 @@ int main(int argc, char** argv) {
       pos.push_back(arg);
     }
   }
-  const int trials = pos.size() > 0 ? std::atoi(pos[0].c_str()) : 10;
+  const int trials = bench::numberArg(pos, 0, 10, kUsage);
   // Offset for the sections with their own RNGs: zero at the default seed,
   // so `--seed` absent reproduces the historical output exactly.
   const uint64_t seedDelta = seed - 99;

@@ -23,6 +23,10 @@
 
 using namespace tagspin;
 
+constexpr char kUsage[] =
+    "fig_adversarial [--seed=N] [--json[=PATH]] [--out=DIR] "
+    "[trialsPerPoint] [durationS] [outPrefix]";
+
 int main(int argc, char** argv) {
   eval::AdversarialConfig ac;
   ac.scenario.seed = 33;
@@ -44,8 +48,8 @@ int main(int argc, char** argv) {
     }
   }
   const std::string outDir = eval::consumeOutDir(pos);
-  ac.trialsPerPoint = pos.size() > 0 ? std::atoi(pos[0].c_str()) : 30;
-  ac.durationS = pos.size() > 1 ? std::atof(pos[1].c_str()) : 15.0;
+  ac.trialsPerPoint = bench::numberArg(pos, 0, 30, kUsage);
+  ac.durationS = bench::numberArg(pos, 1, 15.0, kUsage);
   const std::string prefix =
       eval::outputPath(outDir, pos.size() > 2 ? pos[2] : "fig_adversarial");
 

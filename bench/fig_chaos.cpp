@@ -23,6 +23,10 @@
 
 using namespace tagspin;
 
+constexpr char kUsage[] =
+    "fig_chaos [--seed=N] [--out=DIR] [--json[=PATH]] [trialsPerPoint] "
+    "[durationS] [outPrefix]";
+
 int main(int argc, char** argv) {
   eval::ChaosConfig cc;
   cc.scenario.seed = 21;
@@ -42,8 +46,8 @@ int main(int argc, char** argv) {
     }
   }
   const std::string outDir = eval::consumeOutDir(pos);
-  cc.trialsPerPoint = pos.size() > 0 ? std::atoi(pos[0].c_str()) : 40;
-  cc.durationS = pos.size() > 1 ? std::atof(pos[1].c_str()) : 15.0;
+  cc.trialsPerPoint = bench::numberArg(pos, 0, 40, kUsage);
+  cc.durationS = bench::numberArg(pos, 1, 15.0, kUsage);
   const std::string prefix =
       eval::outputPath(outDir, pos.size() > 2 ? pos[2] : "fig_chaos");
 

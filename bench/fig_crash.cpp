@@ -25,6 +25,10 @@
 
 using namespace tagspin;
 
+constexpr char kUsage[] =
+    "fig_crash [--seed=N] [--out=DIR] [--json[=PATH]] [captureReports] "
+    "[scheduleRounds] [outPrefix]";
+
 int main(int argc, char** argv) {
   eval::CrashExploreConfig cfg;
   std::string sidecarPath;
@@ -42,8 +46,8 @@ int main(int argc, char** argv) {
     }
   }
   const std::string outDir = eval::consumeOutDir(pos);
-  if (pos.size() > 0) cfg.captureReports = size_t(std::atoi(pos[0].c_str()));
-  if (pos.size() > 1) cfg.scheduleRounds = size_t(std::atoi(pos[1].c_str()));
+  cfg.captureReports = bench::numberArg(pos, 0, cfg.captureReports, kUsage);
+  cfg.scheduleRounds = bench::numberArg(pos, 1, cfg.scheduleRounds, kUsage);
   const std::string prefix =
       eval::outputPath(outDir, pos.size() > 2 ? pos[2] : "fig_crash");
 

@@ -24,6 +24,10 @@
 
 using namespace tagspin;
 
+constexpr char kUsage[] =
+    "fig_fleet [--seed=N] [--json=PATH] [--out=DIR] [sessions] [shards] "
+    "[outPrefix]";
+
 int main(int argc, char** argv) {
   eval::FleetEvalConfig fc;
   fc.scenario.seed = 41;
@@ -41,8 +45,8 @@ int main(int argc, char** argv) {
     }
   }
   const std::string outDir = eval::consumeOutDir(pos);
-  fc.sessions = pos.size() > 0 ? std::atoi(pos[0].c_str()) : 512;
-  fc.shards = pos.size() > 1 ? std::atoi(pos[1].c_str()) : 8;
+  fc.sessions = bench::numberArg(pos, 0, 512, kUsage);
+  fc.shards = bench::numberArg(pos, 1, 8, kUsage);
   const std::string prefix =
       eval::outputPath(outDir, pos.size() > 2 ? pos[2] : "fig_fleet");
   fc.checkpointDir = outDir;

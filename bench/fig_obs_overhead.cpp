@@ -37,6 +37,9 @@
 
 using namespace tagspin;
 
+constexpr char kUsage[] =
+    "fig_obs_overhead [--json[=PATH]] [--out=DIR] [repsPerArm] [durationS]";
+
 namespace {
 
 double medianOf(std::vector<double> v) {
@@ -60,8 +63,8 @@ int main(int argc, char** argv) {
     }
   }
   const std::string outDir = eval::consumeOutDir(pos);
-  const int reps = pos.size() > 0 ? std::atoi(pos[0].c_str()) : 30;
-  const double durationS = pos.size() > 1 ? std::atof(pos[1].c_str()) : 15.0;
+  const int reps = bench::numberArg(pos, 0, 30, kUsage);
+  const double durationS = bench::numberArg(pos, 1, 15.0, kUsage);
 
   sim::ScenarioConfig scenario;
   scenario.seed = 47;

@@ -28,6 +28,10 @@
 
 using namespace tagspin;
 
+constexpr char kUsage[] =
+    "fig_oom [--seed=N] [--out=DIR] [--json[=PATH]] [pointsPerWorkload] "
+    "[scheduleRounds] [outPrefix]";
+
 int main(int argc, char** argv) {
   eval::OomExploreConfig cfg;
   std::string sidecarPath;
@@ -45,10 +49,9 @@ int main(int argc, char** argv) {
     }
   }
   const std::string outDir = eval::consumeOutDir(pos);
-  if (pos.size() > 0) {
-    cfg.pointsPerWorkload = size_t(std::atoi(pos[0].c_str()));
-  }
-  if (pos.size() > 1) cfg.scheduleRounds = size_t(std::atoi(pos[1].c_str()));
+  cfg.pointsPerWorkload =
+      bench::numberArg(pos, 0, cfg.pointsPerWorkload, kUsage);
+  cfg.scheduleRounds = bench::numberArg(pos, 1, cfg.scheduleRounds, kUsage);
   const std::string prefix =
       eval::outputPath(outDir, pos.size() > 2 ? pos[2] : "fig_oom");
 

@@ -24,6 +24,10 @@
 
 using namespace tagspin;
 
+constexpr char kUsage[] =
+    "fig_replay [--seed=N] [--out=DIR] [--json[=PATH]] [revolutions] "
+    "[fleetSessions] [outPrefix]";
+
 int main(int argc, char** argv) {
   eval::ReplayEvalConfig rc;
   rc.scenario.seed = 57;
@@ -43,8 +47,8 @@ int main(int argc, char** argv) {
     }
   }
   const std::string outDir = eval::consumeOutDir(pos);
-  rc.revolutions = pos.size() > 0 ? std::atof(pos[0].c_str()) : 10.0;
-  rc.fleetSessions = pos.size() > 1 ? size_t(std::atoi(pos[1].c_str())) : 64;
+  rc.revolutions = bench::numberArg(pos, 0, 10.0, kUsage);
+  rc.fleetSessions = bench::numberArg<size_t>(pos, 1, 64, kUsage);
   const std::string prefix =
       eval::outputPath(outDir, pos.size() > 2 ? pos[2] : "fig_replay");
   rc.capturePath = prefix + ".tspc";

@@ -24,6 +24,10 @@
 
 using namespace tagspin;
 
+constexpr char kUsage[] =
+    "fig_soak [--seed=N] [--out=DIR] [--json[=PATH]] [revolutions] "
+    "[rigs] [outPrefix]";
+
 int main(int argc, char** argv) {
   eval::SoakConfig sc;
   sc.scenario.seed = 33;
@@ -43,8 +47,8 @@ int main(int argc, char** argv) {
     }
   }
   const std::string outDir = eval::consumeOutDir(pos);
-  sc.revolutions = pos.size() > 0 ? std::atof(pos[0].c_str()) : 10.0;
-  sc.rigCount = pos.size() > 1 ? std::atoi(pos[1].c_str()) : 3;
+  sc.revolutions = bench::numberArg(pos, 0, 10.0, kUsage);
+  sc.rigCount = bench::numberArg(pos, 1, 3, kUsage);
   const std::string prefix =
       eval::outputPath(outDir, pos.size() > 2 ? pos[2] : "fig_soak");
   sc.checkpointPath = prefix + ".ckpt";

@@ -29,6 +29,10 @@
 
 using namespace tagspin;
 
+constexpr char kUsage[] =
+    "fig_track [--seed=N] [--out=DIR] [--json[=PATH]] [windows] [rigs] "
+    "[outPrefix]";
+
 int main(int argc, char** argv) {
   eval::TrackEvalConfig tc;
   std::string sidecarPath;
@@ -46,8 +50,8 @@ int main(int argc, char** argv) {
     }
   }
   const std::string outDir = eval::consumeOutDir(pos);
-  if (pos.size() > 0) tc.windows = std::atoi(pos[0].c_str());
-  if (pos.size() > 1) tc.rigCount = std::atoi(pos[1].c_str());
+  tc.windows = bench::numberArg(pos, 0, tc.windows, kUsage);
+  tc.rigCount = bench::numberArg(pos, 1, tc.rigCount, kUsage);
   const std::string prefix =
       eval::outputPath(outDir, pos.size() > 2 ? pos[2] : "fig_track");
 

@@ -6,19 +6,24 @@
 // Tagspin runs on its own infrastructure (two spinning rigs); the baselines
 // run in the same room with the reference-tag grid their designs require.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "baselines/antloc.hpp"
 #include "baselines/backpos.hpp"
 #include "baselines/landmarc.hpp"
 #include "baselines/pinit.hpp"
+#include "bench_json.hpp"
 #include "eval/estimators.hpp"
 #include "eval/report.hpp"
 
 using namespace tagspin;
 
+constexpr char kUsage[] = "table_baselines [trials]";
+
 int main(int argc, char** argv) {
-  const int trials = argc > 1 ? std::atoi(argv[1]) : 20;
+  const int trials = bench::numberArg(
+      std::vector<std::string>(argv + 1, argv + argc), 0, 20, kUsage);
   eval::printHeading("Baseline comparison (2D, same room, same trials)");
 
   sim::ScenarioConfig sc;

@@ -40,6 +40,7 @@ Locator::Instruments Locator::Instruments::resolve(
   in.diagnose = registry->histogram("span.diagnose");
   in.consensus = registry->histogram("span.consensus");
   in.bootstrap = registry->histogram("span.bootstrap");
+  in.calibrate = registry->histogram("span.calibrate");
   in.fix2d = registry->histogram("span.fix2d");
   in.fix3d = registry->histogram("span.fix3d");
   return in;
@@ -117,8 +118,16 @@ void Locator::noteEstimationOutcome(
 
 std::vector<Snapshot> Locator::calibrated(const RigObservation& obs,
                                           double azimuthEstimate) const {
+  TAGSPIN_SPAN(obs_.calibrate);
   return calibrateOrientation(obs.snapshots, obs.rig.kinematics,
                               obs.orientation, azimuthEstimate);
+}
+
+std::vector<Snapshot> Locator::calibrated(const RigObservation& obs,
+                                          const geom::Vec3& position) const {
+  TAGSPIN_SPAN(obs_.calibrate);
+  return calibrateOrientationAtPosition(obs.snapshots, obs.rig,
+                                        obs.orientation, position);
 }
 
 namespace {
@@ -353,8 +362,7 @@ Fix2D Locator::locate2D(std::span<const RigObservation> observations,
                             observations[0].rig.center.z};
       for (size_t i = 0; i < observations.size(); ++i) {
         const RigObservation& obs = observations[i];
-        const std::vector<Snapshot> snaps = calibrateOrientationAtPosition(
-            obs.snapshots, obs.rig, obs.orientation, est3);
+        const std::vector<Snapshot> snaps = calibrated(obs, est3);
         bearing2D(timedSpectrum(snaps, obs.rig, config_.profile),
                   fix.directions[i], bearings[i]);
       }
@@ -404,8 +412,7 @@ Fix3D Locator::locate3D(std::span<const RigObservation> observations) const {
       const geom::Vec3 est3{xy.x, xy.y, observations[0].rig.center.z};
       for (size_t i = 0; i < observations.size(); ++i) {
         const RigObservation& obs = observations[i];
-        const std::vector<Snapshot> snaps = calibrateOrientationAtPosition(
-            obs.snapshots, obs.rig, obs.orientation, est3);
+        const std::vector<Snapshot> snaps = calibrated(obs, est3);
         bearing3D(snaps, obs.rig, config_.profile, fix.directions[i],
                   bearings[i]);
       }

@@ -182,6 +182,7 @@ class Locator {
     obs::Histogram* diagnose = nullptr;        // span.diagnose
     obs::Histogram* consensus = nullptr;       // span.consensus
     obs::Histogram* bootstrap = nullptr;       // span.bootstrap
+    obs::Histogram* calibrate = nullptr;       // span.calibrate
     obs::Histogram* fix2d = nullptr;           // span.fix2d
     obs::Histogram* fix3d = nullptr;           // span.fix3d
     static Instruments resolve(obs::MetricsRegistry* registry);
@@ -194,8 +195,13 @@ class Locator {
     robust::SpinDiagnostics spin;
   };
 
+  /// One rig's orientation-corrected snapshots, against an azimuth or a
+  /// position estimate, timed under span.calibrate.  (The bootstrap's own
+  /// corrections are part of span.bootstrap.)
   std::vector<Snapshot> calibrated(const RigObservation& obs,
                                    double azimuthEstimate) const;
+  std::vector<Snapshot> calibrated(const RigObservation& obs,
+                                   const geom::Vec3& position) const;
   /// Profile build for one rig, timed under span.profile_eval.
   PowerProfile timedProfile(const std::vector<Snapshot>& snaps,
                             const RigSpec& rig,

@@ -13,7 +13,7 @@
 #include "dsp/grid.hpp"
 #include "geom/angles.hpp"
 
-// The kernel passes 4 x double vectors between always-inline helpers.  GCC
+// The kernel passes double vectors between always-inline helpers.  GCC
 // warns that such a signature would change the ABI in the baseline build;
 // it never applies, since no function with a vector signature is out of
 // line.
@@ -23,11 +23,36 @@ namespace tagspin::core {
 
 namespace {
 
-constexpr size_t kLanes = 4;
+// Every channel group is padded to a multiple of the widest build's vector
+// width, so each build reads whole vectors; the padding is zero and masked
+// out of every sum.
+constexpr size_t kGroupPad = 8;
 
-using V4 = double __attribute__((vector_size(32)));
-using U4 = uint64_t __attribute__((vector_size(32)));
-using I4 = int64_t __attribute__((vector_size(32)));  // lane masks
+/// The vector types of a W-lane build: doubles, their bits, lane masks.
+template <size_t W>
+struct Lanes;
+template <>
+struct Lanes<4> {
+  using D = double __attribute__((vector_size(32)));
+  using U = uint64_t __attribute__((vector_size(32)));
+  using I = int64_t __attribute__((vector_size(32)));
+};
+template <>
+struct Lanes<8> {
+  using D = double __attribute__((vector_size(64)));
+  using U = uint64_t __attribute__((vector_size(64)));
+  using I = int64_t __attribute__((vector_size(64)));
+};
+
+using V4 = Lanes<4>::D;
+template <class V>
+constexpr size_t kWidth = sizeof(V) / sizeof(double);
+template <class V>
+using DOf = typename Lanes<kWidth<V>>::D;
+template <class V>
+using UOf = typename Lanes<kWidth<V>>::U;
+template <class V>
+using IOf = typename Lanes<kWidth<V>>::I;
 
 // x + 1.5*2^52 - 1.5*2^52 rounds x to the nearest integer (ties to even)
 // for |x| < 2^51, and the low mantissa bits of x + 1.5*2^52 hold that
@@ -75,30 +100,68 @@ constexpr double kLn2Hi = 6.93147180369123816490e-01;
 constexpr double kLn2Lo = 1.90821492927058770002e-10;
 constexpr double kExpUnderflow = -700.0;
 
-[[gnu::always_inline]] inline V4 splat(double x) { return V4{x, x, x, x}; }
+/// x in every lane (x - +0 is x for every x, -0 and NaN included).
+template <class V>
+[[gnu::always_inline]] inline V splat(double x) {
+  return x - V{};
+}
 
-[[gnu::always_inline]] inline V4 load(const double* p) {
-  V4 v;
+template <class V>
+[[gnu::always_inline]] inline V load(const double* p) {
+  V v;
   std::memcpy(&v, p, sizeof v);
   return v;
 }
 
-[[gnu::always_inline]] inline void store(double* p, const V4& v) {
+template <class V>
+[[gnu::always_inline]] inline void store(double* p, const V& v) {
   std::memcpy(p, &v, sizeof v);
 }
 
-[[gnu::always_inline]] inline U4 bitsOf(const V4& v) {
-  return std::bit_cast<U4>(v);
+template <class V>
+[[gnu::always_inline]] inline UOf<V> bitsOf(const V& v) {
+  return std::bit_cast<UOf<V>>(v);
 }
 
-[[gnu::always_inline]] inline V4 fromBits(const U4& u) {
-  return std::bit_cast<V4>(u);
+template <class U>
+[[gnu::always_inline]] inline DOf<U> fromBits(const U& u) {
+  return std::bit_cast<DOf<U>>(u);
 }
 
 /// x in live lanes, +0 in the others (NaN included: the padding lanes of a
 /// group may compute anything, and none of it reaches a sum).
-[[gnu::always_inline]] inline V4 keep(const I4& live, const V4& x) {
-  return fromBits(bitsOf(x) & std::bit_cast<U4>(live));
+template <class V>
+[[gnu::always_inline]] inline V keep(const IOf<V>& live, const V& x) {
+  return fromBits(bitsOf(x) & std::bit_cast<UOf<V>>(live));
+}
+
+/// acc += x, four lanes at a time: an 8-lane x adds its low half, then its
+/// high half, so every build sums a group's entries in the same order as
+/// the 4-lane build's consecutive blocks.
+template <class V>
+[[gnu::always_inline]] inline void accumulate(V4& acc, const V& x) {
+  if constexpr (kWidth<V> == 4) {
+    acc += x;
+  } else {
+    acc += __builtin_shufflevector(x, x, 0, 1, 2, 3);
+    acc += __builtin_shufflevector(x, x, 4, 5, 6, 7);
+  }
+}
+
+/// Calls block(b, live) for each block of W entries b, b+1, ... of
+/// [begin, end): `live` masks the lanes inside the range, all of them
+/// except in a last, partial block (where keep() then zeroes the rest).
+template <size_t W, class Block>
+[[gnu::always_inline]] inline void forEachBlock(size_t begin, size_t end,
+                                                Block&& block) {
+  using I = typename Lanes<W>::I;
+  size_t b = begin;
+  for (; b + W <= end; b += W) block(b, I{} == 0);
+  if (b < end) {
+    I live;
+    for (size_t l = 0; l < W; ++l) live[l] = b + l < end ? -1 : 0;
+    block(b, live);
+  }
 }
 
 [[gnu::always_inline]] inline double sumLanes(const V4& v) {
@@ -107,54 +170,56 @@ constexpr double kExpUnderflow = -700.0;
 
 /// x - 2*pi*round(x / 2*pi), in [-pi, pi] up to rounding; with kLibm, the
 /// reference's lane-wise fmod (geom::wrapToPi).
-template <bool kLibm>
-[[gnu::always_inline]] inline V4 wrapToPi(const V4& x) {
+template <bool kLibm, class V>
+[[gnu::always_inline]] inline V wrapToPi(const V& x) {
   if constexpr (kLibm) {
-    V4 r;
-    for (size_t l = 0; l < kLanes; ++l) r[l] = geom::wrapToPi(x[l]);
+    V r;
+    for (size_t l = 0; l < kWidth<V>; ++l) r[l] = geom::wrapToPi(x[l]);
     return r;
   } else {
-    const V4 n = (x * kInvTwoPi + kRoundMagic) - kRoundMagic;
+    const V n = (x * kInvTwoPi + kRoundMagic) - kRoundMagic;
     return (x - n * kTwoPiHi) - n * kTwoPiLo;
   }
 }
 
+template <class V>
 struct SinCos {
-  V4 sin;
-  V4 cos;
+  V sin;
+  V cos;
 };
 
 /// sin and cos of x, |x| <= pi (up to rounding); NaN in, NaN out.
-[[gnu::always_inline]] inline SinCos sinCos(const V4& x) {
-  const V4 t = x * kTwoOverPi + kRoundMagic;
-  const V4 n = t - kRoundMagic;
-  const V4 y = (x - n * kPio2Hi) - n * kPio2Lo;
-  const V4 z = y * y;
-  const V4 w = z * z;
-  const V4 rs = (kS2 + z * (kS3 + z * kS4)) + z * w * (kS5 + z * kS6);
-  const V4 s = y + (z * y) * (kS1 + z * rs);
-  const V4 rc =
+template <class V>
+[[gnu::always_inline]] inline SinCos<V> sinCos(const V& x) {
+  const V t = x * kTwoOverPi + kRoundMagic;
+  const V n = t - kRoundMagic;
+  const V y = (x - n * kPio2Hi) - n * kPio2Lo;
+  const V z = y * y;
+  const V w = z * z;
+  const V rs = (kS2 + z * (kS3 + z * kS4)) + z * w * (kS5 + z * kS6);
+  const V s = y + (z * y) * (kS1 + z * rs);
+  const V rc =
       z * (kC1 + z * (kC2 + z * kC3)) + w * w * (kC4 + z * (kC5 + z * kC6));
-  const V4 hz = 0.5 * z;
-  const V4 oneMinusHz = 1.0 - hz;
-  const V4 c = oneMinusHz + (((1.0 - oneMinusHz) - hz) + z * rc);
+  const V hz = 0.5 * z;
+  const V oneMinusHz = 1.0 - hz;
+  const V c = oneMinusHz + (((1.0 - oneMinusHz) - hz) + z * rc);
   // Quadrant q = n mod 4: sin(y + q*pi/2) is s, c, -s, -c and cos is
   // c, -s, -c, s.
-  const U4 q = bitsOf(t);
-  const I4 even = (q & 1) == 0;
-  const U4 sinSign = (q & 2) << 62;
-  const U4 cosSign = ((q + 1) & 2) << 62;
+  const UOf<V> q = bitsOf(t);
+  const IOf<V> even = (q & 1) == 0;
+  const UOf<V> sinSign = (q & 2) << 62;
+  const UOf<V> cosSign = ((q + 1) & 2) << 62;
   return {fromBits(bitsOf(even ? s : c) ^ sinSign),
           fromBits(bitsOf(even ? c : s) ^ cosSign)};
 }
 
 /// e^{Jx} for any x: the fast wrap and sinCos, or with kLibm the
 /// reference's own lane-wise libm sin and cos of the unwrapped argument.
-template <bool kLibm>
-[[gnu::always_inline]] inline SinCos phasor(const V4& x) {
+template <bool kLibm, class V>
+[[gnu::always_inline]] inline SinCos<V> phasor(const V& x) {
   if constexpr (kLibm) {
-    SinCos e;
-    for (size_t l = 0; l < kLanes; ++l) {
+    SinCos<V> e;
+    for (size_t l = 0; l < kWidth<V>; ++l) {
       e.sin[l] = std::sin(x[l]);
       e.cos[l] = std::cos(x[l]);
     }
@@ -165,12 +230,13 @@ template <bool kLibm>
 }
 
 /// exp(x) for x <= 0: 0 below kExpUnderflow, NaN for NaN.
-[[gnu::always_inline]] inline V4 expNonPositive(const V4& x) {
-  const I4 under = x < kExpUnderflow;
-  const V4 xc = under ? splat(kExpUnderflow) : x;
-  const V4 t = xc * kLog2e + kRoundMagic;
-  const V4 n = t - kRoundMagic;
-  const V4 r = (xc - n * kLn2Hi) - n * kLn2Lo;
+template <class V>
+[[gnu::always_inline]] inline V expNonPositive(const V& x) {
+  const IOf<V> under = x < kExpUnderflow;
+  const V xc = under ? splat<V>(kExpUnderflow) : x;
+  const V t = xc * kLog2e + kRoundMagic;
+  const V n = t - kRoundMagic;
+  const V r = (xc - n * kLn2Hi) - n * kLn2Lo;
   // sum_k r^k / k!, k = 0..12, in Estrin's scheme: pairs, then quads...,
   // a dependency chain of 4 multiply-adds instead of Horner's 12.
   constexpr double c[] = {
@@ -178,39 +244,53 @@ template <bool kLibm>
       1.0 / 24,     1.0 / 120,     1.0 / 720,      1.0 / 5040,
       1.0 / 40320,  1.0 / 362880,  1.0 / 3628800,  1.0 / 39916800,
       1.0 / 479001600};
-  const V4 r2 = r * r;
-  const V4 r4 = r2 * r2;
-  const V4 r8 = r4 * r4;
-  const V4 p01 = c[0] + c[1] * r, p23 = c[2] + c[3] * r;
-  const V4 p45 = c[4] + c[5] * r, p67 = c[6] + c[7] * r;
-  const V4 p89 = c[8] + c[9] * r, p1011 = c[10] + c[11] * r;
-  const V4 p03 = p01 + p23 * r2, p47 = p45 + p67 * r2;
-  const V4 p811 = p89 + p1011 * r2;
-  const V4 p = (p03 + p47 * r4) + (p811 + c[12] * r4) * r8;
+  const V r2 = r * r;
+  const V r4 = r2 * r2;
+  const V r8 = r4 * r4;
+  const V p01 = c[0] + c[1] * r, p23 = c[2] + c[3] * r;
+  const V p45 = c[4] + c[5] * r, p67 = c[6] + c[7] * r;
+  const V p89 = c[8] + c[9] * r, p1011 = c[10] + c[11] * r;
+  const V p03 = p01 + p23 * r2, p47 = p45 + p67 * r2;
+  const V p811 = p89 + p1011 * r2;
+  const V p = (p03 + p47 * r4) + (p811 + c[12] * r4) * r8;
   // 2^n from its exponent bits; unsigned arithmetic, so NaN's garbage
   // integer shifts without UB (and NaN * anything stays NaN).
-  const U4 twoToN = (bitsOf(t) - bitsOf(splat(kRoundMagic)) + 1023) << 52;
-  return under ? splat(0.0) : p * fromBits(twoToN);
+  const UOf<V> twoToN =
+      (bitsOf(t) - bitsOf(splat<V>(kRoundMagic)) + 1023) << 52;
+  return under ? splat<V>(0.0) : p * fromBits(twoToN);
 }
 
-/// Per-thread buffers of the enhanced profile's two passes (residuals and
-/// their phasors for one group), grown to the largest group the thread has
-/// evaluated and reused after that, so evaluating a direction allocates
-/// nothing.  Thread-local: concurrent evaluations (the fleet's worker pool)
-/// share no state.
+/// Per-thread buffers of an evaluation (each group's coherent sum; for the
+/// enhanced profile also every entry's residual and phasor), grown to the
+/// largest profile the thread has evaluated and reused after that, so
+/// evaluating a direction allocates nothing.  Thread-local: concurrent
+/// evaluations (the fleet's worker pool) share no state.
 std::vector<double>& kernelScratch() {
   thread_local std::vector<double> scratch;
   return scratch;
 }
 
-size_t roundUpToLanes(size_t n) { return (n + kLanes - 1) / kLanes * kLanes; }
+constexpr size_t roundUp(size_t n, size_t to) { return (n + to - 1) / to * to; }
+
+/// Sum over groups, in group order, of |re + J im| for the (re, im) pairs
+/// laid out one after another in `groupSum`.
+double sumOfMagnitudes(const double* groupSum, size_t groups) {
+  double sum = 0.0;
+  for (size_t k = 0; k < groups; ++k) {
+    sum += std::abs(std::complex<double>(groupSum[2 * k], groupSum[2 * k + 1]));
+  }
+  return sum;
+}
 
 }  // namespace
 
-/// The profile kernel: one source, instantiated for the baseline ISA and
-/// for AVX2 (never with FMA -- contracting a*b + c would make the builds
-/// disagree).  Per-group sums are lane-wise over the group's blocks of
-/// four, then reduced lane 0+1 plus lane 2+3, identically in both builds.
+/// The profile kernel: one source, instantiated with W = 4 lanes for the
+/// baseline ISA and for AVX2, and with W = 8 for AVX-512 (never with FMA:
+/// power_profile.cpp is compiled with -ffp-contract=off, because
+/// contracting a*b + c would make the builds disagree).  Every lane's
+/// arithmetic is the same in every build, and per-group sums are lane-wise
+/// into four accumulators over the group's blocks of four (accumulate()),
+/// then reduced lane 0+1 plus lane 2+3, so the builds agree bit for bit.
 struct ProfileKernel {
   struct Sums {
     double magnitude = 0.0;  // sum over groups of |sum of weighted phasors|
@@ -218,34 +298,45 @@ struct ProfileKernel {
     double sumW2 = 0.0;      // ... and of their squares
   };
 
-  template <bool kLibm>
+  template <size_t W, bool kLibm>
   [[gnu::always_inline]] static inline Sums run(const PowerProfile& p,
                                                 double cosPhi, double sinPhi,
                                                 double cg) {
+    using V = typename Lanes<W>::D;
+    using I = typename Lanes<W>::I;
     const double* cosA = p.cosA_.data();
     const double* sinA = p.sinA_.data();
     const double* kr = p.kr_.data();
     const double* relPhase = p.relPhase_.data();
-    const V4 cp = splat(cosPhi);
-    const V4 sp = splat(sinPhi);
-    const V4 cgv = splat(cg);
-    const I4 laneIndex = {0, 1, 2, 3};
+    const V cp = splat<V>(cosPhi);
+    const V sp = splat<V>(sinPhi);
+    const V cgv = splat<V>(cg);
+    // Each group's coherent sum is kept (as re, im) in the per-thread
+    // scratch and its magnitude taken after the vector loops: a libm call
+    // between the loops would clobber every vector register (the hoisted
+    // polynomial constants included) once per group.
+    const size_t groups = p.groups_.size();
+    std::vector<double>& scratch = kernelScratch();
     Sums out;
     if (p.config_.formula != ProfileFormula::kEnhancedR) {
-      for (const PowerProfile::Group& g : p.groups_) {
-        const int64_t end = static_cast<int64_t>(g.begin + g.size);
-        V4 re = splat(0.0), im = splat(0.0);
-        for (size_t b = g.begin; b < g.begin + g.size; b += kLanes) {
-          const I4 live = laneIndex + static_cast<int64_t>(b) < end;
-          const V4 cosAmP = load(cosA + b) * cp + load(sinA + b) * sp;
-          const V4 steer = load(kr + b) * cosAmP * cgv;
-          const SinCos e = phasor<kLibm>(load(relPhase + b) + steer);
-          re += keep(live, e.cos);
-          im += keep(live, e.sin);
-        }
-        out.magnitude += std::abs(std::complex<double>(sumLanes(re),
-                                                       sumLanes(im)));
+      if (scratch.size() < 2 * groups) scratch.resize(2 * groups);
+      double* groupSum = scratch.data();
+      for (size_t k = 0; k < groups; ++k) {
+        const PowerProfile::Group& g = p.groups_[k];
+        V4 re = splat<V4>(0.0), im = splat<V4>(0.0);
+        forEachBlock<W>(
+            g.begin, g.begin + g.size,
+            [&](size_t b, const I& live) __attribute__((always_inline)) {
+              const V cosAmP = load<V>(cosA + b) * cp + load<V>(sinA + b) * sp;
+              const V steer = load<V>(kr + b) * cosAmP * cgv;
+              const SinCos<V> e = phasor<kLibm>(load<V>(relPhase + b) + steer);
+              accumulate(re, keep(live, e.cos));
+              accumulate(im, keep(live, e.sin));
+            });
+        groupSum[2 * k] = sumLanes(re);
+        groupSum[2 * k + 1] = sumLanes(im);
       }
+      out.magnitude = sumOfMagnitudes(groupSum, groups);
       return out;
     }
 
@@ -263,66 +354,83 @@ struct ProfileKernel {
     // e^{J(relPhase + steer)} = e^{J residual} * e^{J k r cg cos(a_0-phi)},
     // and the group-constant factor drops under |.|, so the weighted
     // residual phasors are summed directly.
+    //
+    // Three passes over all groups: residuals and phasors with each group's
+    // centroid, then the centres (atan2), then the centred weights.
     const double inv2Sigma2 = 1.0 / (2.0 * p.sigmaPair_ * p.sigmaPair_);
-    std::vector<double>& scratch = kernelScratch();
-    for (const PowerProfile::Group& g : p.groups_) {
-      const size_t padded = roundUpToLanes(g.size);
-      if (scratch.size() < 3 * padded) scratch.resize(3 * padded);
-      double* residual = scratch.data();
-      double* phasorRe = residual + padded;
-      double* phasorIm = phasorRe + padded;
-      const int64_t end = static_cast<int64_t>(g.begin + g.size);
-      const V4 cosRefmP = splat(g.cosRef * cosPhi + g.sinRef * sinPhi);
-
-      V4 re = splat(0.0), im = splat(0.0);
-      for (size_t j = 0; j < padded; j += kLanes) {
-        const size_t b = g.begin + j;
-        const I4 live = laneIndex + static_cast<int64_t>(b) < end;
-        const V4 cosAmP = load(cosA + b) * cp + load(sinA + b) * sp;
-        const V4 predicted = load(kr + b) * cgv * (cosRefmP - cosAmP);
-        const V4 r = wrapToPi<kLibm>(load(relPhase + b) - predicted);
-        const SinCos e = sinCos(r);
-        store(residual + j, r);
-        store(phasorRe + j, e.cos);
-        store(phasorIm + j, e.sin);
-        re += keep(live, e.cos);
-        im += keep(live, e.sin);
-      }
-      const std::complex<double> centroid(sumLanes(re), sumLanes(im));
-      const V4 center =
-          splat(std::abs(centroid) > 0.0 ? std::arg(centroid) : 0.0);
-
-      re = splat(0.0);
-      im = splat(0.0);
-      V4 sumW = splat(0.0), sumW2 = splat(0.0);
-      for (size_t j = 0; j < padded; j += kLanes) {
-        const I4 live =
-            laneIndex + static_cast<int64_t>(g.begin + j) < end;
-        const V4 centred = wrapToPi<kLibm>(load(residual + j) - center);
-        const V4 w = expNonPositive(-centred * centred * inv2Sigma2);
-        re += keep(live, w * load(phasorRe + j));
-        im += keep(live, w * load(phasorIm + j));
-        sumW += keep(live, w);
-        sumW2 += keep(live, w * w);
-      }
-      out.magnitude +=
-          std::abs(std::complex<double>(sumLanes(re), sumLanes(im)));
+    const size_t stride = p.cosA_.size();
+    if (scratch.size() < 3 * stride + 2 * groups) {
+      scratch.resize(3 * stride + 2 * groups);
+    }
+    double* residual = scratch.data();
+    double* phasorRe = residual + stride;
+    double* phasorIm = phasorRe + stride;
+    double* groupSum = phasorIm + stride;
+    for (size_t k = 0; k < groups; ++k) {
+      const PowerProfile::Group& g = p.groups_[k];
+      const V cosRefmP = splat<V>(g.cosRef * cosPhi + g.sinRef * sinPhi);
+      V4 re = splat<V4>(0.0), im = splat<V4>(0.0);
+      forEachBlock<W>(
+          g.begin, g.begin + g.size,
+          [&](size_t b, const I& live) __attribute__((always_inline)) {
+            const V cosAmP = load<V>(cosA + b) * cp + load<V>(sinA + b) * sp;
+            const V predicted = load<V>(kr + b) * cgv * (cosRefmP - cosAmP);
+            const V r = wrapToPi<kLibm>(load<V>(relPhase + b) - predicted);
+            const SinCos<V> e = sinCos(r);
+            store(residual + b, r);
+            store(phasorRe + b, e.cos);
+            store(phasorIm + b, e.sin);
+            accumulate(re, keep(live, e.cos));
+            accumulate(im, keep(live, e.sin));
+          });
+      groupSum[2 * k] = sumLanes(re);
+      groupSum[2 * k + 1] = sumLanes(im);
+    }
+    // Each group's centre, in place of its centroid.
+    for (size_t k = 0; k < groups; ++k) {
+      const std::complex<double> centroid(groupSum[2 * k],
+                                          groupSum[2 * k + 1]);
+      groupSum[2 * k] = std::abs(centroid) > 0.0 ? std::arg(centroid) : 0.0;
+    }
+    for (size_t k = 0; k < groups; ++k) {
+      const PowerProfile::Group& g = p.groups_[k];
+      const V center = splat<V>(groupSum[2 * k]);
+      V4 re = splat<V4>(0.0), im = splat<V4>(0.0);
+      V4 sumW = splat<V4>(0.0), sumW2 = splat<V4>(0.0);
+      forEachBlock<W>(
+          g.begin, g.begin + g.size,
+          [&](size_t b, const I& live) __attribute__((always_inline)) {
+            const V centred = wrapToPi<kLibm>(load<V>(residual + b) - center);
+            const V w = expNonPositive(-centred * centred * inv2Sigma2);
+            accumulate(re, keep(live, w * load<V>(phasorRe + b)));
+            accumulate(im, keep(live, w * load<V>(phasorIm + b)));
+            accumulate(sumW, keep(live, w));
+            accumulate(sumW2, keep(live, w * w));
+          });
+      groupSum[2 * k] = sumLanes(re);
+      groupSum[2 * k + 1] = sumLanes(im);
       out.sumW += sumLanes(sumW);
       out.sumW2 += sumLanes(sumW2);
     }
+    out.magnitude = sumOfMagnitudes(groupSum, groups);
     return out;
   }
 
   static Sums baseline(const PowerProfile& p, double cosPhi, double sinPhi,
                        double cg) {
-    return run<false>(p, cosPhi, sinPhi, cg);
+    return run<4, false>(p, cosPhi, sinPhi, cg);
   }
 
 #if defined(__x86_64__) || defined(__i386__)
   [[gnu::target("avx2")]] static Sums avx2(const PowerProfile& p,
                                            double cosPhi, double sinPhi,
                                            double cg) {
-    return run<false>(p, cosPhi, sinPhi, cg);
+    return run<4, false>(p, cosPhi, sinPhi, cg);
+  }
+
+  [[gnu::target("avx512f,avx512dq,avx512vl")]] static Sums avx512(
+      const PowerProfile& p, double cosPhi, double sinPhi, double cg) {
+    return run<8, false>(p, cosPhi, sinPhi, cg);
   }
 #endif
 
@@ -331,7 +439,7 @@ struct ProfileKernel {
   /// build.
   static Sums libmLanes(const PowerProfile& p, double cosPhi, double sinPhi,
                         double cg) {
-    return run<true>(p, cosPhi, sinPhi, cg);
+    return run<4, true>(p, cosPhi, sinPhi, cg);
   }
 
   static Sums sweep(const PowerProfile& p, PowerProfile::Isa isa, double phi,
@@ -342,6 +450,9 @@ struct ProfileKernel {
     const double bound = p.maxAbsRelPhase_ + 2.5 * p.maxKr_ * std::abs(cg);
     if (!(bound < kFastWrapLimit)) return libmLanes(p, cosPhi, sinPhi, cg);
 #if defined(__x86_64__) || defined(__i386__)
+    if (isa == PowerProfile::Isa::kAvx512) {
+      return avx512(p, cosPhi, sinPhi, cg);
+    }
     if (isa == PowerProfile::Isa::kAvx2) return avx2(p, cosPhi, sinPhi, cg);
 #endif
     return baseline(p, cosPhi, sinPhi, cg);
@@ -390,11 +501,11 @@ PowerProfile::PowerProfile(std::span<const Snapshot> snapshots,
     ++groups_[it->second].size;
   }
 
-  // Lay the groups out one after another, each padded to the vector width.
+  // Lay the groups out one after another, each padded to kGroupPad.
   size_t stride = 0;
   for (Group& g : groups_) {
     g.begin = stride;
-    stride += roundUpToLanes(g.size);
+    stride += roundUp(g.size, kGroupPad);
   }
   cosA_.assign(stride, 0.0);
   sinA_.assign(stride, 0.0);
@@ -452,7 +563,13 @@ PowerProfile::Isa PowerProfile::kernelIsa() {
 #if defined(__x86_64__) || defined(__i386__)
   static const Isa isa = [] {
     __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") ? Isa::kAvx2 : Isa::kBaseline;
+    if (!__builtin_cpu_supports("avx2")) return Isa::kBaseline;
+    if (!__builtin_cpu_supports("avx512f") ||
+        !__builtin_cpu_supports("avx512dq") ||
+        !__builtin_cpu_supports("avx512vl")) {
+      return Isa::kAvx2;
+    }
+    return Isa::kAvx512;
   }();
   return isa;
 #else
@@ -461,7 +578,8 @@ PowerProfile::Isa PowerProfile::kernelIsa() {
 }
 
 bool PowerProfile::isaSupported(Isa isa) {
-  return isa == Isa::kBaseline || kernelIsa() == Isa::kAvx2;
+  // Each build's features include the one below it.
+  return static_cast<int>(isa) <= static_cast<int>(kernelIsa());
 }
 
 std::vector<double> PowerProfile::sampleAzimuth(size_t points,

@@ -74,11 +74,13 @@ class PowerProfile {
   WeightStats weightStats(double phi, double gamma = 0.0) const;
 
   /// Instruction-set builds of the evaluation kernel.  There is one kernel
-  /// source, compiled for the baseline ISA and for AVX2; kernelIsa() is the
-  /// build picked once per process from the CPU's features, and the plain
-  /// overloads above run it.  The overloads taking an Isa run a given build
-  /// (it must be isaSupported), so the builds can be held to each other.
-  enum class Isa { kBaseline, kAvx2 };
+  /// source, compiled 4 lanes wide for the baseline ISA and for AVX2 and 8
+  /// lanes wide for AVX-512 (F, DQ and VL); kernelIsa() is the best build
+  /// the CPU supports, picked once per process, and the plain overloads
+  /// above run it.  The overloads taking an Isa run a given build (it must
+  /// be isaSupported: every build up to kernelIsa()), so the builds can be
+  /// held to each other.
+  enum class Isa { kBaseline, kAvx2, kAvx512 };
   static Isa kernelIsa();
   static bool isaSupported(Isa isa);
   double evaluateDirection(double angle, double scale, Isa isa) const;
@@ -108,9 +110,9 @@ class PowerProfile {
   double maxAbsRelPhase_ = 0.0;
   double maxKr_ = 0.0;
   // Structure-of-arrays entries, group-major: each group's snapshots are
-  // contiguous in input order, and every group starts on a multiple of the
-  // kernel's vector width (the padding between groups is zero and never
-  // summed).  cos/sin of the disk angle a_i are precomputed so evaluation
+  // contiguous in input order, and every group starts on a multiple of 8,
+  // the widest build's vector width (the padding between groups is zero
+  // and never summed).  cos/sin of the disk angle a_i are precomputed so evaluation
   // needs no trig on the geometry: cos(a - phi) = cosA*cos(phi) +
   // sinA*sin(phi).
   std::vector<double> cosA_;

@@ -82,21 +82,23 @@ GridMax1D maximizeCircular(F&& f, size_t n = 720, int refineRounds = 6) {
 }
 
 /// Maximisation over the rectangle [0, 2*pi) x [ymin, ymax] on an
-/// (nx x ny) grid with local refinement; used for the (azimuth, polar)
-/// spectrum of section V-B.
+/// (nx x ny) grid (nx, ny >= 1) with local refinement; used for the
+/// (azimuth, polar) spectrum of section V-B.  f is called once per grid
+/// point, in row-major order from (0, ymin), then once per in-range
+/// neighbour of each refinement round; ties keep the earlier point.
 template <std::invocable<double, double> F>
 GridMax2D maximizeRect(F&& f, double ymin, double ymax, size_t nx = 360,
                        size_t ny = 91, int refineRounds = 6) {
   const double twoPi = 2.0 * std::numbers::pi;
   const double xstep = twoPi / static_cast<double>(nx);
   const double ystep = ny > 1 ? (ymax - ymin) / static_cast<double>(ny - 1) : 0.0;
-  GridMax2D best{0.0, ymin, f(0.0, ymin)};
+  GridMax2D best{0.0, ymin, 0.0};
   for (size_t i = 0; i < nx; ++i) {
     const double x = static_cast<double>(i) * xstep;
     for (size_t j = 0; j < ny; ++j) {
       const double y = ymin + static_cast<double>(j) * ystep;
       const double v = f(x, y);
-      if (v > best.value) best = {x, y, v};
+      if ((i == 0 && j == 0) || v > best.value) best = {x, y, v};
     }
   }
   double hx = xstep;

@@ -17,10 +17,7 @@ std::string consumeOutDir(std::vector<std::string>& args,
       break;
     }
   }
-  if (dir.empty()) dir = ".";
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);  // best effort; open() reports
-  return dir;
+  return dir.empty() ? "." : dir;
 }
 
 std::string outputPath(const std::string& dir, const std::string& name) {

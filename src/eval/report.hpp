@@ -39,8 +39,9 @@ void printProfileAscii(const std::string& name,
 
 /// Output directory for bench artifacts: consume a leading "--out=DIR"
 /// argument from `args` (erasing it) and return DIR, or `fallback` when no
-/// flag is present.  The directory is created (recursively) either way, so
-/// figure binaries stop littering the CWD.
+/// flag is present.  outputPath() creates it, once the bench has accepted
+/// the rest of its command line, so figure binaries stop littering the CWD
+/// and a rejected command line leaves nothing behind.
 std::string consumeOutDir(std::vector<std::string>& args,
                           const std::string& fallback = "bench/out");
 

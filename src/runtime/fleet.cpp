@@ -202,6 +202,7 @@ FleetManager::Instruments FleetManager::Instruments::resolve(
   in.checkpointWrites = registry->counter("fleet.checkpoint_writes");
   in.checkpointFailures = registry->counter("fleet.checkpoint_failures");
   in.checkpointSpan = registry->histogram("span.checkpoint_write");
+  in.tickSpan = registry->histogram("span.tick");
   in.shedLevel = registry->gauge("fleet.shed_level");
   in.memDenied = registry->counter("fleet.mem_denied");
   in.memTrims = registry->counter("fleet.mem_trims");
@@ -392,6 +393,7 @@ void FleetManager::updateShedLevel() {
 }
 
 void FleetManager::tick(double nowS) {
+  TAGSPIN_SPAN(obs_.tickSpan);
   updateShedLevel();
   if (shedLevel_ == ShedLevel::kDegraded) ++shedDegradedTicks_;
   if (shedLevel_ == ShedLevel::kCritical) ++shedCriticalTicks_;

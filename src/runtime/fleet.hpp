@@ -305,6 +305,7 @@ class FleetManager {
     obs::Counter* checkpointWrites = nullptr;
     obs::Counter* checkpointFailures = nullptr;
     obs::Histogram* checkpointSpan = nullptr;  // span.checkpoint_write
+    obs::Histogram* tickSpan = nullptr;        // span.tick
     obs::Gauge* shedLevel = nullptr;
     obs::Counter* memDenied = nullptr;       // fleet.mem_denied
     obs::Counter* memTrims = nullptr;        // fleet.mem_trims

@@ -2,7 +2,8 @@
 // -- span.rig_health (the per-rig health sweep), span.profile_eval (profile
 // builds), span.spectrum_search (sweeps and refine rounds), span.diagnose
 // (spin diagnosis, with 3D's azimuth sweep at the peak's polar angle),
-// span.consensus and span.bootstrap -- must account for at least 95% of
+// span.calibrate (the orientation-correction passes), span.consensus and
+// span.bootstrap -- must account for at least 95% of
 // span.fix2d and span.fix3d, so a fix's latency can be explained stage by
 // stage.  Covered: the fleet and default 2D configurations, and a
 // survey-like 3D one (diagnostics, consensus and bootstrap on, with
@@ -76,7 +77,8 @@ double childSeconds(obs::MetricsRegistry& registry) {
   double sum = 0.0;
   for (const char* name :
        {"span.rig_health", "span.profile_eval", "span.spectrum_search",
-        "span.diagnose", "span.consensus", "span.bootstrap"}) {
+        "span.diagnose", "span.calibrate", "span.consensus",
+        "span.bootstrap"}) {
     sum += registry.histogram(name)->sum();
   }
   return sum;
@@ -123,6 +125,7 @@ TEST(LocatorSpans, ChildSpansCoverFix3DOnSurveyLikeConfig) {
   const obs::Histogram* fix3d = registry.histogram("span.fix3d");
   ASSERT_EQ(fix3d->count(), readers.size());
   EXPECT_EQ(registry.histogram("span.bootstrap")->count(), readers.size());
+  EXPECT_GT(registry.histogram("span.calibrate")->count(), 0u);
   EXPECT_GT(registry.histogram("span.diagnose")->sum(), 0.0);
   EXPECT_GT(registry.histogram("span.consensus")->count(), 0u);
   const double children = childSeconds(registry);

@@ -10,13 +10,14 @@
 // centre; the largest deviation seen is 3.8e-14 there, 2e-15 elsewhere.
 // On top of the bound: the exp-underflow regime, large azimuths, NaN where
 // (and only where) the reference gives NaN, the grid argmax on the
-// locator's test scenes, and the AVX2 and baseline builds agreeing bit for
-// bit.
+// locator's test scenes, and the AVX2 and AVX-512 builds each agreeing
+// with the baseline build bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <ostream>
 #include <random>
 #include <sstream>
@@ -319,34 +320,83 @@ TEST(ProfileKernel, GridArgmaxMatchesReferenceOnLocatorScenes) {
   }
 }
 
-TEST(ProfileKernel, Avx2AndBaselineBuildsAgreeBitForBit) {
-  if (!PowerProfile::isaSupported(PowerProfile::Isa::kAvx2)) {
-    GTEST_SKIP() << "CPU lacks AVX2: only the baseline build can run";
-  }
+/// Bit mask of the channel-group sizes of `s`, mod 8: the profile groups
+/// snapshots by channel unless the formula is P or grouping is off.
+unsigned groupResidues(const RandomSet& s) {
+  std::map<int, size_t> sizes;
+  const bool grouped = s.config.channelCoherent &&
+                       s.config.formula != ProfileFormula::kClassicalP;
+  for (const Snapshot& snap : s.snapshots) ++sizes[grouped ? snap.channel : 0];
+  unsigned residues = 0;
+  for (const auto& [channel, size] : sizes) residues |= 1u << (size % 8);
+  return residues;
+}
+
+/// Runs `isa`'s build and the baseline build on random P, Q and R sets and
+/// requires them to agree exactly on the value and both weight statistics.
+/// Returns the group sizes seen, mod 8 (groupResidues).
+unsigned expectAgreesWithBaselineBitForBit(PowerProfile::Isa isa,
+                                           uint64_t seed) {
   using Isa = PowerProfile::Isa;
-  std::mt19937_64 rng(0xA5A5);
+  std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> angle(-geom::kTwoPi,
                                                2.0 * geom::kTwoPi);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
+  unsigned residues = 0;
   for (const ProfileFormula f :
        {ProfileFormula::kClassicalP, ProfileFormula::kRelativeQ,
         ProfileFormula::kEnhancedR}) {
     for (int set = 0; set < 60; ++set) {
       const RandomSet s = randomSet(rng, {f, set % 2 == 0});
+      residues |= groupResidues(s);
       const PowerProfile profile(s.snapshots, s.kinematics, s.config);
       for (int k = 0; k < 30; ++k) {
         const double phi = angle(rng);
         const double gamma = unit(rng);
-        ASSERT_EQ(profile.evaluateDirection(phi, std::cos(gamma), Isa::kAvx2),
+        EXPECT_EQ(profile.evaluateDirection(phi, std::cos(gamma), isa),
                   profile.evaluateDirection(phi, std::cos(gamma),
                                             Isa::kBaseline))
             << "set " << set;
-        const auto avx2 = profile.weightStats(phi, gamma, Isa::kAvx2);
+        const auto got = profile.weightStats(phi, gamma, isa);
         const auto base = profile.weightStats(phi, gamma, Isa::kBaseline);
-        ASSERT_EQ(avx2.meanWeight, base.meanWeight) << "set " << set;
-        ASSERT_EQ(avx2.effectiveFraction, base.effectiveFraction)
+        EXPECT_EQ(got.meanWeight, base.meanWeight) << "set " << set;
+        EXPECT_EQ(got.effectiveFraction, base.effectiveFraction)
             << "set " << set;
+        if (::testing::Test::HasFailure()) return residues;
       }
+    }
+  }
+  return residues;
+}
+
+TEST(ProfileKernel, Avx2AndBaselineBuildsAgreeBitForBit) {
+  if (!PowerProfile::isaSupported(PowerProfile::Isa::kAvx2)) {
+    GTEST_SKIP() << "CPU lacks AVX2: only the baseline build can run";
+  }
+  expectAgreesWithBaselineBitForBit(PowerProfile::Isa::kAvx2, 0xA5A5);
+}
+
+TEST(ProfileKernel, Avx512AndBaselineBuildsAgreeBitForBit) {
+  if (!PowerProfile::isaSupported(PowerProfile::Isa::kAvx512)) {
+    GTEST_SKIP() << "CPU lacks AVX-512 (F, DQ, VL): the 8-lane build "
+                    "cannot run";
+  }
+  // The 8-lane build's last block of a group is partly padding for every
+  // size but multiples of 8; the sets cover each residue.
+  const unsigned residues =
+      expectAgreesWithBaselineBitForBit(PowerProfile::Isa::kAvx512, 0x5A5A);
+  EXPECT_EQ(residues, 0xFFu) << "group sizes mod 8 not all covered";
+}
+
+TEST(ProfileKernel, IsaLadder) {
+  using Isa = PowerProfile::Isa;
+  EXPECT_TRUE(PowerProfile::isaSupported(Isa::kBaseline));
+  EXPECT_TRUE(PowerProfile::isaSupported(PowerProfile::kernelIsa()));
+  // Each build's features include the one below it.
+  for (const Isa isa : {Isa::kAvx2, Isa::kAvx512}) {
+    if (PowerProfile::isaSupported(isa)) {
+      EXPECT_TRUE(PowerProfile::isaSupported(
+          static_cast<Isa>(static_cast<int>(isa) - 1)));
     }
   }
 }

@@ -89,6 +89,36 @@ TEST(MaximizeRect, FindsTwoDGaussian) {
   EXPECT_NEAR(best.value, 1.0, 1e-5);
 }
 
+TEST(MaximizeRect, EvaluatesEachGridPointOnce) {
+  // Interior peak: every refinement round evaluates all 24 neighbours.
+  const double cx = 2.5, cy = 0.4;
+  size_t calls = 0;
+  auto f = [&](double x, double y) {
+    ++calls;
+    const double dx = geom::wrapToPi(x - cx);
+    const double dy = y - cy;
+    return std::exp(-(dx * dx + dy * dy) * 8.0);
+  };
+  const GridMax2D best = maximizeRect(f, -1.0, 1.0, 180, 41, 8);
+  EXPECT_EQ(calls, 180u * 41u + 24u * 8u);
+  EXPECT_LT(circularDistance(best.x, cx), 1e-3);
+  EXPECT_NEAR(best.y, cy, 1e-3);
+
+  // A flat function ties everywhere: the first grid point (0, ymin) stays
+  // the maximum, and each round evaluates only the 14 neighbours with
+  // y >= ymin.
+  calls = 0;
+  auto flat = [&](double, double) {
+    ++calls;
+    return 1.0;
+  };
+  const GridMax2D first = maximizeRect(flat, -1.0, 1.0, 16, 21, 5);
+  EXPECT_EQ(calls, 16u * 21u + 14u * 5u);
+  EXPECT_EQ(first.x, 0.0);
+  EXPECT_EQ(first.y, -1.0);
+  EXPECT_EQ(first.value, 1.0);
+}
+
 TEST(MaximizeRect, RespectsYBounds) {
   // The unconstrained maximum sits at y = 2, outside [ -1, 1 ]; the search
   // must return the best feasible point (y = 1).

@@ -357,6 +357,27 @@ TEST(Fleet, ShardCheckpointWritesAreTimedUnderCheckpointSpan) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Fleet, EveryTickIsTimedUnderTickSpan) {
+  obs::MetricsRegistry registry;
+  FleetConfig config = testFleetConfig();
+  config.shards = 2;
+  config.maxSessions = 4;
+  config.metrics = &registry;
+  FleetManager fleet(config, twoRigDeployment());
+  for (int i = 0; i < 4; ++i) {
+    fleet.registerSession("s" + std::to_string(i), [i] {
+      auto t = std::make_unique<OneShotTransport>();
+      t->frame = frameWith(i + 1, 10.0 * i);
+      return t;
+    });
+  }
+  constexpr int kTicks = 25;
+  for (int tick = 0; tick < kTicks; ++tick) fleet.tick(0.1 * tick);
+  const obs::Histogram* span = registry.histogram("span.tick");
+  EXPECT_EQ(span->count(), static_cast<uint64_t>(kTicks));
+  EXPECT_GT(span->sum(), 0.0);
+}
+
 /// Connects instantly, idles until deliverAtS, then delivers one prebuilt
 /// frame and idles forever.  Lets a test measure the fleet's pre-growth
 /// memory footprint before the frame lands.
