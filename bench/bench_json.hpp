@@ -1,8 +1,20 @@
-// Shared sidecar schema for the BENCH_*.json trajectory records.
+// The benches' one front end and the shared sidecar schema.
 //
-// Every long-running bench (fig_soak, fig_chaos, fig_fleet, fig_replay)
-// emits one machine-readable record so CI trending and the workflow
-// artifacts read a single shape instead of four ad-hoc ones:
+// Command line.  Every bench takes
+//
+//   <bench> [--seed=N] [--out=DIR] [--json[=PATH]] [positionals...]
+//
+// or the part of it its Spec declares.  Main parses it once: --seed and the
+// numeric positionals strictly (whole numbers are digits only, decimals
+// finite and non-negative), --json alone as PATH "BENCH_<name>.json",
+// --out=DIR defaulting to "bench/out".  Any other argument starting with
+// "--", a flag the bench does not take, or a malformed number prints the
+// usage line and exits 2 before the bench runs or writes a file.  The
+// grammar is `--key=value`: with positionals, `--json 4` could not say
+// whether 4 is the path or the first positional.
+//
+// Sidecar.  A bench with a record name emits one machine-readable record,
+// so CI trending and the workflow artifacts read a single shape:
 //
 //   {
 //     "bench":   "<name>",
@@ -13,13 +25,13 @@
 //     "payload": { ...full harness JSON... }
 //   }
 //
-// Gates are the binary acceptance criteria the binary's exit code is built
-// from; metrics are the headline numbers worth trending without parsing
-// the payload.  The payload embeds the harness's own JSON object verbatim
-// (it must be a well-formed object; "" omits the key).
+// Gates are the binary acceptance criteria the exit code is built from;
+// metrics are the headline numbers worth trending without parsing the
+// payload, which embeds the harness's own JSON value ("" omits the key).
 //
-// numberArg() reads a bench's numeric positionals (trial counts, sizes,
-// durations) strictly, the one way every bench does.
+// Main::finish writes DIR/<prefix>.json (the payload) for a bench that
+// takes --out, then the sidecar when --json asked for one, and returns the
+// exit code: 0 iff every gate passed.
 #pragma once
 
 #include <charconv>
@@ -27,13 +39,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "obs/json.hpp"
 
 namespace tagspin::bench {
 
@@ -42,7 +57,7 @@ struct BenchRecord {
   uint64_t seed = 0;
   std::vector<std::pair<std::string, bool>> gates;
   std::vector<std::pair<std::string, double>> metrics;
-  /// Full harness JSON object ("" omits the payload key).
+  /// Full harness JSON value ("" omits the payload key).
   std::string payload;
 
   void gate(std::string key, bool pass) {
@@ -60,71 +75,119 @@ struct BenchRecord {
   }
 
   std::string toJson() const {
-    std::ostringstream out;
-    out << "{\n";
-    out << "  \"bench\": \"" << name << "\",\n";
-    out << "  \"seed\": " << seed << ",\n";
-    out << "  \"pass\": " << (allGatesPass() ? "true" : "false") << ",\n";
-    out << "  \"gates\": {";
-    for (size_t i = 0; i < gates.size(); ++i) {
-      out << (i ? ", " : "") << "\"" << gates[i].first << "\": "
-          << (gates[i].second ? "true" : "false");
-    }
-    out << "},\n";
-    out << "  \"metrics\": {";
-    for (size_t i = 0; i < metrics.size(); ++i) {
-      char value[48];
-      std::snprintf(value, sizeof(value), "%.9g", metrics[i].second);
-      out << (i ? ", " : "") << "\"" << metrics[i].first << "\": " << value;
-    }
-    out << "}";
-    if (!payload.empty()) {
-      // The harness payloads end with "}\n"; indent-free embedding keeps
-      // this emitter dumb and the output valid.
-      std::string trimmed = payload;
-      while (!trimmed.empty() &&
-             (trimmed.back() == '\n' || trimmed.back() == ' ')) {
-        trimmed.pop_back();
-      }
-      out << ",\n  \"payload\": " << trimmed;
-    }
-    out << "\n}\n";
-    return out.str();
+    obs::JsonWriter w;
+    w.beginObject().field("bench", name).field("seed", seed);
+    w.field("pass", allGatesPass()).key("gates").beginObject();
+    for (const auto& [key, ok] : gates) w.field(key, ok);
+    w.end().key("metrics").beginObject();
+    for (const auto& [key, value] : metrics) w.field(key, value);
+    w.end();
+    if (!payload.empty()) w.key("payload").raw(payload);
+    return w.end().str();
   }
 };
 
-/// Write the record to `path` and report it on stdout.
-inline void writeBenchSidecar(const std::string& path,
-                              const BenchRecord& record) {
-  std::ofstream out(path);
-  out << record.toJson();
-  std::printf("wrote %s (pass=%s)\n", path.c_str(),
-              record.allGatesPass() ? "true" : "false");
-}
+/// What a bench's command line may carry besides its positionals.
+struct Spec {
+  const char* usage;
+  /// Record name: the bench writes a sidecar and takes --json[=PATH].
+  const char* name = nullptr;
+  /// The bench's seed: it takes --seed=N, which overwrites *seed.
+  uint64_t* seed = nullptr;
+  /// The bench writes DIR/<prefix>.json (prefix "fig_<name>" unless the
+  /// bench sets another) and takes --out=DIR.
+  bool out = false;
+};
 
-/// Positional `index` of a bench's command line as a T, or `fallback` when
-/// there are fewer positionals.  An integral T takes a whole number (digits
-/// only), a floating T a finite non-negative decimal.  Anything else -- say
-/// "x.json" from `--json x.json`, which means `--json=x.json` -- prints the
-/// bench's `usage` line and exits 2 before the bench runs or writes a file.
-template <class T>
-T numberArg(const std::vector<std::string>& pos, size_t index, T fallback,
-            const char* usage) {
-  if (index >= pos.size()) return fallback;
-  const std::string& text = pos[index];
-  const char* end = text.data() + text.size();
-  T value{};
-  const auto [stop, error] = std::from_chars(text.data(), end, value);
-  bool ok = !text.empty() && text[0] != '-' && error == std::errc() &&
-            stop == end;
-  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
-  if (!ok) {
-    std::fprintf(stderr, "not a %s: '%s'\nusage: %s\n",
-                 std::is_integral_v<T> ? "whole number" : "number",
-                 text.c_str(), usage);
+class Main {
+ public:
+  /// Parses argv against `spec`, or prints the usage line and exits 2.
+  Main(int argc, char** argv, Spec spec) : spec_(spec) {
+    if (spec.name) record.name = spec.name;
+    if (spec.out) prefix = "fig_" + record.name;
+    for (int i = 1; i < argc; ++i) {
+      const std::string_view arg = argv[i];
+      if (!arg.starts_with("--")) {
+        pos_.emplace_back(arg);
+      } else if (spec.seed && arg.starts_with("--seed=")) {
+        *spec.seed = parse<uint64_t>(arg.substr(7));
+      } else if (spec.name && arg == "--json") {
+        sidecar_ = "BENCH_" + record.name + ".json";
+      } else if (spec.name && arg.starts_with("--json=") && arg.size() > 7) {
+        sidecar_ = arg.substr(7);
+      } else if (spec.out && arg.starts_with("--out=")) {
+        dir_ = arg.size() > 6 ? arg.substr(6) : ".";
+      } else {
+        reject("unknown flag", arg);
+      }
+    }
+    if (spec.seed) record.seed = *spec.seed;
+  }
+
+  /// Positional `index` as a T, or `fallback` when there are fewer.
+  template <class T>
+  T number(size_t index, T fallback) const {
+    return index < pos_.size() ? parse<T>(pos_[index]) : fallback;
+  }
+  std::string text(size_t index, std::string fallback) const {
+    return index < pos_.size() ? pos_[index] : fallback;
+  }
+
+  /// The output directory, created on first use.
+  std::string dir() const {
+    std::error_code ec;
+    std::filesystem::create_directories(dir_, ec);
+    return dir_;
+  }
+  /// DIR/<prefix>, the directory created: output files append a suffix.
+  std::string path() const {
+    return (std::filesystem::path(dir()) / prefix).string();
+  }
+
+  /// Writes the payload and the sidecar; the exit code.
+  int finish() const {
+    if (spec_.out) {
+      const std::string json = path() + ".json";
+      std::ofstream(json) << record.payload;
+      std::printf("wrote %s\n", json.c_str());
+    }
+    if (!sidecar_.empty()) {
+      std::ofstream(sidecar_) << record.toJson();
+      std::printf("wrote %s (pass=%s)\n", sidecar_.c_str(),
+                  record.allGatesPass() ? "true" : "false");
+    }
+    return record.allGatesPass() ? 0 : 1;
+  }
+
+  BenchRecord record;
+  std::string prefix;
+
+ private:
+  [[noreturn]] void reject(const char* what, std::string_view arg) const {
+    std::fprintf(stderr, "%s: '%.*s'\nusage: %s\n", what,
+                 static_cast<int>(arg.size()), arg.data(), spec_.usage);
     std::exit(2);
   }
-  return value;
-}
+
+  template <class T>
+  T parse(std::string_view text) const {
+    const char* end = text.data() + text.size();
+    T value{};
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    bool ok = !text.empty() && text[0] != '-' && error == std::errc() &&
+              stop == end;
+    if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+    if (!ok) {
+      reject(std::is_integral_v<T> ? "not a whole number" : "not a number",
+             text);
+    }
+    return value;
+  }
+
+  Spec spec_;
+  std::vector<std::string> pos_;
+  std::string sidecar_;
+  std::string dir_ = "bench/out";
+};
 
 }  // namespace tagspin::bench

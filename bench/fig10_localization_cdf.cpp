@@ -9,9 +9,6 @@
 // "BENCH_fig10.json"); the exit code reflects its acceptance gates.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <string>
-#include <vector>
 
 #include "bench_json.hpp"
 #include "eval/estimators.hpp"
@@ -24,22 +21,9 @@ constexpr char kUsage[] =
 
 int main(int argc, char** argv) {
   uint64_t seed = 99;  // the eval::RunnerConfig default
-  std::string sidecarPath;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::stoull(arg.substr(7));
-    } else if (arg == "--json") {
-      sidecarPath = "BENCH_fig10.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      sidecarPath = arg.substr(7);
-    } else {
-      pos.push_back(arg);
-    }
-  }
-  const int trials2d = bench::numberArg(pos, 0, 30, kUsage);
-  const int trials3d = bench::numberArg(pos, 1, 16, kUsage);
+  bench::Main m(argc, argv, {.usage = kUsage, .name = "fig10", .seed = &seed});
+  const int trials2d = m.number(0, 30);
+  const int trials3d = m.number(1, 16);
 
   dsp::Summary s2d, s3d;
 
@@ -85,13 +69,12 @@ int main(int argc, char** argv) {
   // One machine-readable record: the gates hold the reproduction in the
   // paper's accuracy regime with margin for trial-count variance (the
   // paper reports ~4-5 cm 2D, ~7.3 cm 3D).
-  bench::BenchRecord record;
-  record.name = "fig10";
-  record.seed = seed;
-  record.gate("cdf_2d_mean_le_10cm", s2d.mean <= 10.0);
-  record.gate("cdf_2d_p90_le_20cm", s2d.p90 <= 20.0);
-  record.gate("cdf_3d_mean_le_12cm", s3d.mean <= 12.0);
-  record.gate("cdf_3d_p90_le_25cm", s3d.p90 <= 25.0);
+  bench::BenchRecord& record = m.record;
+  // An empty sample summarizes to zeros, so every gate needs fixes.
+  record.gate("cdf_2d_mean_le_10cm", s2d.count > 0 && s2d.mean <= 10.0);
+  record.gate("cdf_2d_p90_le_20cm", s2d.count > 0 && s2d.p90 <= 20.0);
+  record.gate("cdf_3d_mean_le_12cm", s3d.count > 0 && s3d.mean <= 12.0);
+  record.gate("cdf_3d_p90_le_25cm", s3d.count > 0 && s3d.p90 <= 25.0);
   record.metric("mean_2d_cm", s2d.mean);
   record.metric("std_2d_cm", s2d.stddev);
   record.metric("median_2d_cm", s2d.median);
@@ -100,8 +83,5 @@ int main(int argc, char** argv) {
   record.metric("std_3d_cm", s3d.stddev);
   record.metric("median_3d_cm", s3d.median);
   record.metric("p90_3d_cm", s3d.p90);
-  if (!sidecarPath.empty()) {
-    bench::writeBenchSidecar(sidecarPath, record);
-  }
-  return record.allGatesPass() ? 0 : 1;
+  return m.finish();
 }

@@ -5,7 +5,6 @@
 // (b) Localization error CDFs with vs without the orientation-calibration
 //     step; the paper reports a ~1.7x mean improvement.
 #include <cstdio>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -22,8 +21,7 @@ using namespace tagspin;
 constexpr char kUsage[] = "fig11_orientation_impact [trials]";
 
 int main(int argc, char** argv) {
-  const int trials = bench::numberArg(
-      std::vector<std::string>(argv + 1, argv + argc), 0, 20, kUsage);
+  const int trials = bench::Main(argc, argv, {.usage = kUsage}).number(0, 20);
 
   eval::printHeading("Fig. 11(a): mean relative phase vs tag orientation");
   {

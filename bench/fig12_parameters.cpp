@@ -7,7 +7,6 @@
 //  (c) tag diversity: the five Alien models perform nearly identically;
 //  (d) antenna diversity: the four reader ports perform nearly identically.
 #include <cstdio>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -36,8 +35,7 @@ eval::RunResult run2d(const sim::ScenarioConfig& sc, int trials,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int trials = bench::numberArg(
-      std::vector<std::string>(argv + 1, argv + argc), 0, 10, kUsage);
+  const int trials = bench::Main(argc, argv, {.usage = kUsage}).number(0, 10);
 
   eval::printHeading("Fig. 12(a): error vs distance between rig centers");
   {

@@ -17,9 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <random>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -53,21 +51,8 @@ eval::RunResult run2d(const sim::World& world, int trials, double durationS,
 
 int main(int argc, char** argv) {
   uint64_t seed = 99;  // the eval::RunnerConfig default
-  std::string sidecarPath;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::stoull(arg.substr(7));
-    } else if (arg == "--json") {
-      sidecarPath = "BENCH_ablation2.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      sidecarPath = arg.substr(7);
-    } else {
-      pos.push_back(arg);
-    }
-  }
-  const int trials = bench::numberArg(pos, 0, 10, kUsage);
+  bench::Main m(argc, argv, {.usage = kUsage, .name = "ablation2", .seed = &seed});
+  const int trials = m.number(0, 10);
   // Offset for the sections with their own RNGs: zero at the default seed,
   // so `--seed` absent reproduces the historical output exactly.
   const uint64_t seedDelta = seed - 99;
@@ -276,9 +261,7 @@ int main(int argc, char** argv) {
   // One machine-readable record: the gates encode each extension's
   // qualitative claim with generous margins (seeds are fixed, but CI runs
   // few trials, so the gates test direction, not exact magnitudes).
-  bench::BenchRecord record;
-  record.name = "ablation2";
-  record.seed = seed;
+  bench::BenchRecord& record = m.record;
   record.gate("dwell_improves_accuracy", durLong <= durShort * 0.5);
   record.gate("more_rigs_no_worse", rigs4 <= rigs2 + 0.5);
   record.gate("ripple_degrades_geometry",
@@ -303,8 +286,5 @@ int main(int argc, char** argv) {
   record.metric("fusion_worst_cm", fusionWorst);
   record.metric("fusion_mean_cm", fusionMean);
   record.metric("fusion_median_cm", fusionMedian);
-  if (!sidecarPath.empty()) {
-    bench::writeBenchSidecar(sidecarPath, record);
-  }
-  return record.allGatesPass() ? 0 : 1;
+  return m.finish();
 }

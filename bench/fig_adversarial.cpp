@@ -10,12 +10,10 @@
 // Writes DIR/<outPrefix>.csv, .json and <outPrefix>_cdf.csv (default
 // prefix "fig_adversarial", default DIR "bench/out"); --json additionally
 // emits the BENCH_adversarial.json sidecar (shared schema:
-// bench/bench_json.hpp) and bases the exit code on its gates.
+// bench/bench_json.hpp).  The exit code is 0 iff every gate passes.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "bench_json.hpp"
 #include "eval/adversarial.hpp"
@@ -33,25 +31,12 @@ int main(int argc, char** argv) {
   ac.scenario.fixedChannel = true;
   ac.baseline = eval::AdversarialConfig::defaultBaseline();
   ac.robust = eval::AdversarialConfig::defaultRobust();
-  std::string sidecarPath;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seed=", 0) == 0) {
-      ac.seed = std::stoull(arg.substr(7));
-    } else if (arg == "--json") {
-      sidecarPath = "BENCH_adversarial.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      sidecarPath = arg.substr(7);
-    } else {
-      pos.push_back(arg);
-    }
-  }
-  const std::string outDir = eval::consumeOutDir(pos);
-  ac.trialsPerPoint = bench::numberArg(pos, 0, 30, kUsage);
-  ac.durationS = bench::numberArg(pos, 1, 15.0, kUsage);
-  const std::string prefix =
-      eval::outputPath(outDir, pos.size() > 2 ? pos[2] : "fig_adversarial");
+  bench::Main m(argc, argv,
+                {.usage = kUsage, .name = "adversarial", .seed = &ac.seed,
+                 .out = true});
+  ac.trialsPerPoint = m.number(0, ac.trialsPerPoint);
+  ac.durationS = m.number(1, ac.durationS);
+  m.prefix = m.text(2, m.prefix);
 
   eval::printHeading("Adversarial environments: consensus vs least squares");
   std::printf("seed: 0x%llX%s; %d rigs, %d trials/case, %.0f s spins\n",
@@ -77,14 +62,11 @@ int main(int argc, char** argv) {
         p.ellipseCovered, p.ellipseTrials, p.meanEllipseAreaCm2);
   }
 
-  std::ofstream csv(prefix + ".csv");
-  csv << eval::adversarialCsv(result);
-  std::ofstream json(prefix + ".json");
-  json << eval::adversarialJson(result);
-  std::ofstream cdf(prefix + "_cdf.csv");
-  cdf << eval::adversarialCdfCsv(result);
-  std::printf("\nwrote %s.csv, %s.json and %s_cdf.csv\n", prefix.c_str(),
-              prefix.c_str(), prefix.c_str());
+  const std::string prefix = m.path();
+  std::ofstream(prefix + ".csv") << eval::adversarialCsv(result);
+  std::ofstream(prefix + "_cdf.csv") << eval::adversarialCdfCsv(result);
+  std::printf("\nwrote %s.csv and %s_cdf.csv\n", prefix.c_str(),
+              prefix.c_str());
 
   // Acceptance: with 1 of 4 spins corrupted the consensus median must be at
   // most half the least-squares median; on the clean case the robust stack
@@ -114,9 +96,7 @@ int main(int argc, char** argv) {
                 one->ellipseTrials);
   }
 
-  bench::BenchRecord record;
-  record.name = "adversarial";
-  record.seed = ac.seed;
+  bench::BenchRecord& record = m.record;
   record.payload = eval::adversarialJson(result);
   record.gate("one_corrupted_within_0_5x", one && corruptRatio <= 0.5);
   record.gate("clean_overhead_within_5pct", clean && cleanRatio <= 1.05);
@@ -131,9 +111,5 @@ int main(int argc, char** argv) {
                       : 0.0);
     record.metric("mean_ellipse_area_cm2", one->meanEllipseAreaCm2);
   }
-  if (!sidecarPath.empty()) {
-    bench::writeBenchSidecar(sidecarPath, record);
-    return record.allGatesPass() ? 0 : 1;
-  }
-  return 0;
+  return m.finish();
 }

@@ -9,13 +9,12 @@
 // Writes DIR/<outPrefix>.csv and DIR/<outPrefix>.json (default prefix
 // "fig_chaos", default DIR "bench/out").  --json additionally writes the
 // machine-readable trajectory sidecar (default PATH "BENCH_chaos.json").
+// The exit code is 0 iff every gate passes.
 // The fault RNG seed defaults to a fixed value so runs are reproducible;
 // pass --seed=N to sweep independent fault realizations.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "bench_json.hpp"
 #include "eval/chaos.hpp"
@@ -31,25 +30,12 @@ int main(int argc, char** argv) {
   eval::ChaosConfig cc;
   cc.scenario.seed = 21;
   cc.scenario.fixedChannel = true;
-  std::string sidecarPath;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seed=", 0) == 0) {
-      cc.seed = std::stoull(arg.substr(7));
-    } else if (arg == "--json") {
-      sidecarPath = "BENCH_chaos.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      sidecarPath = arg.substr(7);
-    } else {
-      pos.push_back(arg);
-    }
-  }
-  const std::string outDir = eval::consumeOutDir(pos);
-  cc.trialsPerPoint = bench::numberArg(pos, 0, 40, kUsage);
-  cc.durationS = bench::numberArg(pos, 1, 15.0, kUsage);
-  const std::string prefix =
-      eval::outputPath(outDir, pos.size() > 2 ? pos[2] : "fig_chaos");
+  bench::Main m(argc, argv,
+                {.usage = kUsage, .name = "chaos", .seed = &cc.seed,
+                 .out = true});
+  cc.trialsPerPoint = m.number(0, cc.trialsPerPoint);
+  cc.durationS = m.number(1, cc.durationS);
+  m.prefix = m.text(2, m.prefix);
 
   eval::printHeading("Chaos: ingestion-fault breakdown curve");
   std::printf("fault seed: 0x%llX%s\n",
@@ -82,19 +68,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ofstream csv(prefix + ".csv");
-  csv << eval::chaosCsv(result);
-  std::ofstream json(prefix + ".json");
-  json << eval::chaosJson(result);
-  std::printf("\nwrote %s.csv and %s.json\n", prefix.c_str(), prefix.c_str());
+  const std::string csv = m.path() + ".csv";
+  std::ofstream(csv) << eval::chaosCsv(result);
+  std::printf("\nwrote %s\n", csv.c_str());
   const eval::ChaosPoint& full = result.points.back();
   const double medianRatio = result.cleanMedianErrorCm > 0.0
                                  ? full.medianErrorCm /
                                        result.cleanMedianErrorCm
                                  : 0.0;
-  bench::BenchRecord record;
-  record.name = "chaos";
-  record.seed = cc.seed;
+  bench::BenchRecord& record = m.record;
   record.payload = eval::chaosJson(result);
   record.gate("full_intensity_fix_rate_ge_90pct", full.fixRate >= 0.90);
   record.gate("median_within_2x_clean",
@@ -103,12 +85,8 @@ int main(int argc, char** argv) {
   record.metric("full_intensity_median_cm", full.medianErrorCm);
   record.metric("clean_median_cm", result.cleanMedianErrorCm);
   record.metric("median_ratio", medianRatio);
-  if (!sidecarPath.empty()) {
-    bench::writeBenchSidecar(sidecarPath, record);
-  }
-
   std::printf("[acceptance: full intensity fix rate %.0f%% (want >= 90%%), "
               "median %.2fx clean (want <= 2x)]\n", full.fixRate * 100,
               medianRatio);
-  return 0;
+  return m.finish();
 }

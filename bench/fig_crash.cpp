@@ -14,10 +14,6 @@
 // additionally writes the shared-schema sidecar (default PATH
 // "BENCH_crash.json").
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <string>
-#include <vector>
 
 #include "bench_json.hpp"
 #include "eval/crash.hpp"
@@ -31,25 +27,12 @@ constexpr char kUsage[] =
 
 int main(int argc, char** argv) {
   eval::CrashExploreConfig cfg;
-  std::string sidecarPath;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seed=", 0) == 0) {
-      cfg.seed = std::stoull(arg.substr(7));
-    } else if (arg == "--json") {
-      sidecarPath = "BENCH_crash.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      sidecarPath = arg.substr(7);
-    } else {
-      pos.push_back(arg);
-    }
-  }
-  const std::string outDir = eval::consumeOutDir(pos);
-  cfg.captureReports = bench::numberArg(pos, 0, cfg.captureReports, kUsage);
-  cfg.scheduleRounds = bench::numberArg(pos, 1, cfg.scheduleRounds, kUsage);
-  const std::string prefix =
-      eval::outputPath(outDir, pos.size() > 2 ? pos[2] : "fig_crash");
+  bench::Main m(argc, argv,
+                {.usage = kUsage, .name = "crash", .seed = &cfg.seed,
+                 .out = true});
+  cfg.captureReports = m.number(0, cfg.captureReports);
+  cfg.scheduleRounds = m.number(1, cfg.scheduleRounds);
+  m.prefix = m.text(2, m.prefix);
 
   eval::printHeading("Crash consistency: exhaustive power-cut exploration");
   std::printf("seed 0x%llX, %zu capture reports (chunk %zu, fsync every %zu), "
@@ -62,15 +45,8 @@ int main(int argc, char** argv) {
   const eval::CrashEvalResult r = eval::runCrashEval(cfg);
   std::printf("\n%s", eval::crashReport(r).c_str());
 
-  const std::string payload = eval::crashJson(r);
-  std::ofstream json(prefix + ".json");
-  json << payload;
-  std::printf("\nwrote %s.json\n", prefix.c_str());
-
-  bench::BenchRecord record;
-  record.name = "crash";
-  record.seed = cfg.seed;
-  record.payload = payload;
+  bench::BenchRecord& record = m.record;
+  record.payload = eval::crashJson(r);
   record.gate("crash_points_ge_2000", r.totalPoints >= 2000);
   record.gate("zero_violations", r.totalViolations == 0);
   record.gate("schedule_search_clean", r.scheduleViolations == 0);
@@ -82,10 +58,6 @@ int main(int argc, char** argv) {
   record.metric("schedule_runs", double(r.scheduleRuns));
   record.metric("schedule_crashes", double(r.scheduleCrashes));
   record.metric("broken_shrunk_faults", double(r.brokenShrunkFaults));
-  if (!sidecarPath.empty()) {
-    bench::writeBenchSidecar(sidecarPath, record);
-  }
-
   std::printf("[acceptance: >= 2000 crash-point recoveries (%llu), zero "
               "invariant violations (%llu), planted fsync-ordering bug "
               "caught and shrunk to %llu fault(s)]\n",
@@ -93,5 +65,5 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.totalViolations),
               static_cast<unsigned long long>(r.brokenShrunkFaults));
 
-  return record.allGatesPass() ? 0 : 1;
+  return m.finish();
 }

@@ -7,16 +7,12 @@
 // outage stays within 2x the baseline's, every session eventually holds a
 // fix, and the recovery storm is paced by the shard retry budgets.
 //
-// Usage: fig_fleet [--seed=N] [--json=PATH] [--out=DIR]
+// Usage: fig_fleet [--seed=N] [--json[=PATH]] [--out=DIR]
 //                  [sessions] [shards] [outPrefix]
-// Writes DIR/<outPrefix>.json (default DIR "bench/out") and the
-// machine-readable trajectory record BENCH_fleet.json (repo root by
-// default; --json overrides the path).
+// Writes DIR/<outPrefix>.json and the shard checkpoints under DIR (default
+// DIR "bench/out").  --json additionally writes the shared-schema sidecar
+// (default PATH "BENCH_fleet.json").
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <string>
-#include <vector>
 
 #include "bench_json.hpp"
 #include "eval/fleet.hpp"
@@ -25,31 +21,20 @@
 using namespace tagspin;
 
 constexpr char kUsage[] =
-    "fig_fleet [--seed=N] [--json=PATH] [--out=DIR] [sessions] [shards] "
+    "fig_fleet [--seed=N] [--json[=PATH]] [--out=DIR] [sessions] [shards] "
     "[outPrefix]";
 
 int main(int argc, char** argv) {
   eval::FleetEvalConfig fc;
   fc.scenario.seed = 41;
   fc.scenario.fixedChannel = true;
-  std::string jsonPath = "BENCH_fleet.json";
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seed=", 0) == 0) {
-      fc.seed = std::stoull(arg.substr(7));
-    } else if (arg.rfind("--json=", 0) == 0) {
-      jsonPath = arg.substr(7);
-    } else {
-      pos.push_back(arg);
-    }
-  }
-  const std::string outDir = eval::consumeOutDir(pos);
-  fc.sessions = bench::numberArg(pos, 0, 512, kUsage);
-  fc.shards = bench::numberArg(pos, 1, 8, kUsage);
-  const std::string prefix =
-      eval::outputPath(outDir, pos.size() > 2 ? pos[2] : "fig_fleet");
-  fc.checkpointDir = outDir;
+  bench::Main m(argc, argv,
+                {.usage = kUsage, .name = "fleet", .seed = &fc.seed,
+                 .out = true});
+  fc.sessions = m.number(0, fc.sessions);
+  fc.shards = m.number(1, fc.shards);
+  m.prefix = m.text(2, m.prefix);
+  fc.checkpointDir = m.dir();
 
   eval::printHeading("Fleet: correlated outage vs isolated baseline");
   std::printf("%zu sessions over %zu shards, %.0f%% correlated outage + "
@@ -92,15 +77,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(s.checkpointWrites),
               static_cast<unsigned long long>(s.checkpointFailures));
 
-  const std::string payload = eval::fleetJson(r);
-  std::ofstream json(prefix + ".json");
-  json << payload;
-  std::printf("\nwrote %s.json\n", prefix.c_str());
-
-  bench::BenchRecord record;
-  record.name = "fleet";
-  record.seed = fc.seed;
-  record.payload = payload;
+  bench::BenchRecord& record = m.record;
+  record.payload = eval::fleetJson(r);
   record.gate("enough_sessions", r.sessions >= 500);
   record.gate("all_fixed", r.chaos.fixRate >= 1.0 - 1e-12);
   record.gate("isolated_within_2x",
@@ -109,12 +87,10 @@ int main(int argc, char** argv) {
   record.metric("isolation_ratio", r.isolationRatio);
   record.metric("chaos_fix_rate", r.chaos.fixRate);
   record.metric("session_ticks_per_sec", r.sessionTicksPerSec);
-  bench::writeBenchSidecar(jsonPath, record);
-
   std::printf("[acceptance: >=500 concurrent flaky sessions (%zu), eventual "
               "100%% fix rate (%.1f%%), healthy p99 during 20%% outage "
               "<= 2x isolated baseline (%.2fx)]\n",
               r.sessions, r.chaos.fixRate * 100, r.isolationRatio);
 
-  return record.allGatesPass() ? 0 : 1;
+  return m.finish();
 }

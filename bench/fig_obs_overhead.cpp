@@ -17,7 +17,8 @@
 //                         [durationS]
 // Writes DIR/fig_obs_overhead.{csv,json} (default DIR "bench/out");
 // --json additionally emits the BENCH_obs_overhead.json sidecar (shared
-// schema: bench/bench_json.hpp).
+// schema: bench/bench_json.hpp).  The exit code is 0 iff every gate passes:
+// median overhead below 3% and spans recorded.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -30,6 +31,7 @@
 #include "core/tagspin.hpp"
 #include "eval/estimators.hpp"
 #include "eval/report.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "sim/interrogator.hpp"
 #include "sim/rng.hpp"
@@ -50,21 +52,10 @@ double medianOf(std::vector<double> v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string sidecarPath;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      sidecarPath = "BENCH_obs_overhead.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      sidecarPath = arg.substr(7);
-    } else {
-      pos.push_back(arg);
-    }
-  }
-  const std::string outDir = eval::consumeOutDir(pos);
-  const int reps = bench::numberArg(pos, 0, 30, kUsage);
-  const double durationS = bench::numberArg(pos, 1, 15.0, kUsage);
+  bench::Main m(argc, argv,
+                {.usage = kUsage, .name = "obs_overhead", .out = true});
+  const int reps = m.number(0, 30);
+  const double durationS = m.number(1, 15.0);
 
   sim::ScenarioConfig scenario;
   scenario.seed = 47;
@@ -146,43 +137,31 @@ int main(int argc, char** argv) {
                 spanFix->p50 * 1e3, spanFix->p99 * 1e3);
   }
 
-  const std::string prefix = eval::outputPath(outDir, "fig_obs_overhead");
-  {
-    std::ofstream csv(prefix + ".csv");
-    csv << "arm,median_ms,mean_ms\n";
-    csv << "null_sink," << medNull * 1e3 << ',' << meanOf(nullSink) * 1e3
-        << '\n';
-    csv << "instrumented," << medInstr * 1e3 << ','
-        << meanOf(instrumented) * 1e3 << '\n';
-  }
-  {
-    std::ofstream json(prefix + ".json");
-    json << "{\n  \"reps_per_arm\": " << reps
-         << ",\n  \"reports\": " << reports.size()
-         << ",\n  \"null_sink_median_ms\": " << medNull * 1e3
-         << ",\n  \"instrumented_median_ms\": " << medInstr * 1e3
-         << ",\n  \"median_overhead_fraction\": " << overhead
-         << ",\n  \"span_observations\": " << spanObservations << "\n}\n";
-  }
-  std::printf("wrote %s.csv and %s.json\n", prefix.c_str(), prefix.c_str());
+  const std::string csv = m.path() + ".csv";
+  std::ofstream(csv) << "arm,median_ms,mean_ms\n"
+                     << "null_sink," << medNull * 1e3 << ','
+                     << meanOf(nullSink) * 1e3 << '\n'
+                     << "instrumented," << medInstr * 1e3 << ','
+                     << meanOf(instrumented) * 1e3 << '\n';
+  std::printf("wrote %s\n", csv.c_str());
 
-  if (!sidecarPath.empty()) {
-    std::ifstream payload(prefix + ".json");
-    std::ostringstream payloadText;
-    payloadText << payload.rdbuf();
-    bench::BenchRecord record;
-    record.name = "obs_overhead";
-    record.payload = payloadText.str();
-    record.gate("median_overhead_below_3pct", overhead < 0.03);
-    record.gate("spans_recorded", spanObservations > 0);
-    record.metric("median_overhead_pct", overhead * 100.0);
-    record.metric("null_sink_median_ms", medNull * 1e3);
-    record.metric("instrumented_median_ms", medInstr * 1e3);
-    record.metric("span_observations", double(spanObservations));
-    bench::writeBenchSidecar(sidecarPath, record);
-  }
+  obs::JsonWriter payload;
+  payload.beginObject().field("reps_per_arm", reps);
+  payload.field("reports", reports.size());
+  payload.field("null_sink_median_ms", medNull * 1e3);
+  payload.field("instrumented_median_ms", medInstr * 1e3);
+  payload.field("median_overhead_fraction", overhead);
+  payload.field("span_observations", spanObservations);
+  bench::BenchRecord& record = m.record;
+  record.payload = payload.end().str();
+  record.gate("median_overhead_below_3pct", overhead < 0.03);
+  record.gate("spans_recorded", spanObservations > 0);
+  record.metric("median_overhead_pct", overhead * 100.0);
+  record.metric("null_sink_median_ms", medNull * 1e3);
+  record.metric("instrumented_median_ms", medInstr * 1e3);
+  record.metric("span_observations", double(spanObservations));
 
   std::printf("[acceptance: median overhead %.2f%% (want < 3%%)]\n",
               overhead * 100);
-  return overhead < 0.03 ? 0 : 1;
+  return m.finish();
 }

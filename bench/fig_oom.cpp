@@ -17,10 +17,6 @@
 // additionally writes the shared-schema sidecar (default PATH
 // "BENCH_oom.json").
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <string>
-#include <vector>
 
 #include "bench_json.hpp"
 #include "eval/oom.hpp"
@@ -34,26 +30,12 @@ constexpr char kUsage[] =
 
 int main(int argc, char** argv) {
   eval::OomExploreConfig cfg;
-  std::string sidecarPath;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seed=", 0) == 0) {
-      cfg.seed = std::stoull(arg.substr(7));
-    } else if (arg == "--json") {
-      sidecarPath = "BENCH_oom.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      sidecarPath = arg.substr(7);
-    } else {
-      pos.push_back(arg);
-    }
-  }
-  const std::string outDir = eval::consumeOutDir(pos);
-  cfg.pointsPerWorkload =
-      bench::numberArg(pos, 0, cfg.pointsPerWorkload, kUsage);
-  cfg.scheduleRounds = bench::numberArg(pos, 1, cfg.scheduleRounds, kUsage);
-  const std::string prefix =
-      eval::outputPath(outDir, pos.size() > 2 ? pos[2] : "fig_oom");
+  bench::Main m(argc, argv,
+                {.usage = kUsage, .name = "oom", .seed = &cfg.seed,
+                 .out = true});
+  cfg.pointsPerWorkload = m.number(0, cfg.pointsPerWorkload);
+  cfg.scheduleRounds = m.number(1, cfg.scheduleRounds);
+  m.prefix = m.text(2, m.prefix);
 
   eval::printHeading(
       "Resource exhaustion: exhaustive allocation-failure exploration");
@@ -66,15 +48,8 @@ int main(int argc, char** argv) {
   const eval::OomEvalResult r = eval::runOomEval(cfg);
   std::printf("\n%s", eval::oomReport(r).c_str());
 
-  const std::string payload = eval::oomJson(r);
-  std::ofstream json(prefix + ".json");
-  json << payload;
-  std::printf("\nwrote %s.json\n", prefix.c_str());
-
-  bench::BenchRecord record;
-  record.name = "oom";
-  record.seed = cfg.seed;
-  record.payload = payload;
+  bench::BenchRecord& record = m.record;
+  record.payload = eval::oomJson(r);
   record.gate("oom_points_ge_500", r.totalPoints >= 500);
   record.gate("zero_violations", r.totalViolations == 0);
   record.gate("schedule_search_clean", r.scheduleViolations == 0);
@@ -92,10 +67,6 @@ int main(int argc, char** argv) {
   record.metric("pressure_utilization", r.pressureUtilization);
   record.metric("pressure_trims", double(r.pressureTrims));
   record.metric("broken_shrunk_faults", double(r.brokenShrunkFaults));
-  if (!sidecarPath.empty()) {
-    bench::writeBenchSidecar(sidecarPath, record);
-  }
-
   std::printf("[acceptance: >= 500 allocation-failure points (%llu), zero "
               "invariant violations (%llu), fix rate %.4f under sustained "
               "pressure, parity %s, planted accounting bug caught and "
@@ -106,5 +77,5 @@ int main(int argc, char** argv) {
               r.parityBitIdentical ? "bit-identical" : "DIVERGED",
               static_cast<unsigned long long>(r.brokenShrunkFaults));
 
-  return record.allGatesPass() ? 0 : 1;
+  return m.finish();
 }

@@ -12,10 +12,6 @@
 // default DIR "bench/out").  --json additionally writes the shared-schema
 // sidecar (default PATH "BENCH_replay.json").
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <string>
-#include <vector>
 
 #include "bench_json.hpp"
 #include "capture/digest.hpp"
@@ -32,26 +28,13 @@ int main(int argc, char** argv) {
   eval::ReplayEvalConfig rc;
   rc.scenario.seed = 57;
   rc.scenario.fixedChannel = true;
-  std::string sidecarPath;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seed=", 0) == 0) {
-      rc.seed = std::stoull(arg.substr(7));
-    } else if (arg == "--json") {
-      sidecarPath = "BENCH_replay.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      sidecarPath = arg.substr(7);
-    } else {
-      pos.push_back(arg);
-    }
-  }
-  const std::string outDir = eval::consumeOutDir(pos);
-  rc.revolutions = bench::numberArg(pos, 0, 10.0, kUsage);
-  rc.fleetSessions = bench::numberArg<size_t>(pos, 1, 64, kUsage);
-  const std::string prefix =
-      eval::outputPath(outDir, pos.size() > 2 ? pos[2] : "fig_replay");
-  rc.capturePath = prefix + ".tspc";
+  bench::Main m(argc, argv,
+                {.usage = kUsage, .name = "replay", .seed = &rc.seed,
+                 .out = true});
+  rc.revolutions = m.number(0, rc.revolutions);
+  rc.fleetSessions = m.number(1, rc.fleetSessions);
+  m.prefix = m.text(2, m.prefix);
+  rc.capturePath = m.path() + ".tspc";
 
   eval::printHeading("Replay: record -> capture -> deterministic replay");
   std::printf("%g revolutions under the standard outage script, seed 0x%llX, "
@@ -92,16 +75,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.fleetReportsIngested),
               r.fleetThroughputRps, r.fleetWallS);
 
-  const std::string payload = eval::replayJson(r);
-  std::ofstream json(prefix + ".json");
-  json << payload;
-  std::printf("\nwrote %s.json and %s.tspc\n", prefix.c_str(),
-              prefix.c_str());
-
-  bench::BenchRecord record;
-  record.name = "replay";
-  record.seed = rc.seed;
-  record.payload = payload;
+  std::printf("\nwrote %s\n", rc.capturePath.c_str());
+  bench::BenchRecord& record = m.record;
+  record.payload = eval::replayJson(r);
   record.gate("capture_intact", r.captureIntact);
   record.gate("replay_deterministic", r.replayDeterministic);
   record.gate("fix_parity_le_0_5cm",
@@ -116,15 +92,11 @@ int main(int argc, char** argv) {
   record.metric("recovery_rate", r.recoveryRate);
   record.metric("replay_throughput_rps", r.replayThroughputRps);
   record.metric("fleet_throughput_rps", r.fleetThroughputRps);
-  if (!sidecarPath.empty()) {
-    bench::writeBenchSidecar(sidecarPath, record);
-  }
-
   std::printf("[acceptance: replay-twice digests bit-identical (%s), "
               "1%%-corrupted capture recovery >= 99%% (%.2f%%), replay fix "
               "within 0.5 cm of live (%.4f cm)]\n",
               r.replayDeterministic ? "yes" : "NO", r.recoveryRate * 100,
               r.fixParityCm);
 
-  return record.allGatesPass() ? 0 : 1;
+  return m.finish();
 }

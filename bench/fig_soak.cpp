@@ -13,10 +13,8 @@
 // (default DIR "bench/out").  --json additionally writes the
 // machine-readable trajectory sidecar (default PATH "BENCH_soak.json").
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "bench_json.hpp"
 #include "eval/report.hpp"
@@ -32,25 +30,13 @@ int main(int argc, char** argv) {
   eval::SoakConfig sc;
   sc.scenario.seed = 33;
   sc.scenario.fixedChannel = true;
-  std::string sidecarPath;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seed=", 0) == 0) {
-      sc.seed = std::stoull(arg.substr(7));
-    } else if (arg == "--json") {
-      sidecarPath = "BENCH_soak.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      sidecarPath = arg.substr(7);
-    } else {
-      pos.push_back(arg);
-    }
-  }
-  const std::string outDir = eval::consumeOutDir(pos);
-  sc.revolutions = bench::numberArg(pos, 0, 10.0, kUsage);
-  sc.rigCount = bench::numberArg(pos, 1, 3, kUsage);
-  const std::string prefix =
-      eval::outputPath(outDir, pos.size() > 2 ? pos[2] : "fig_soak");
+  bench::Main m(argc, argv,
+                {.usage = kUsage, .name = "soak", .seed = &sc.seed,
+                 .out = true});
+  sc.revolutions = m.number(0, sc.revolutions);
+  sc.rigCount = m.number(1, sc.rigCount);
+  m.prefix = m.text(2, m.prefix);
+  const std::string prefix = m.path();
   sc.checkpointPath = prefix + ".ckpt";
 
   eval::printHeading("Soak: outage script + kill -9 mid-spin");
@@ -102,17 +88,12 @@ int main(int argc, char** argv) {
                 r.soakFailure.c_str(), r.baselineErrorCm);
   }
 
-  std::ofstream csv(prefix + ".csv");
-  csv << eval::soakCsv(r);
-  std::ofstream json(prefix + ".json");
-  json << eval::soakJson(r);
+  std::ofstream(prefix + ".csv") << eval::soakCsv(r);
   tagspin::obs::writeTextFile(prefix + ".metrics.json", r.telemetryJson);
   tagspin::obs::writeTextFile(prefix + ".metrics.prom", r.telemetryPrometheus);
-  std::printf("\nwrote %s.{csv,json} and %s.metrics.{json,prom}\n",
-              prefix.c_str(), prefix.c_str());
-  bench::BenchRecord record;
-  record.name = "soak";
-  record.seed = sc.seed;
+  std::printf("\nwrote %s.csv and %s.metrics.{json,prom}\n", prefix.c_str(),
+              prefix.c_str());
+  bench::BenchRecord& record = m.record;
   record.payload = eval::soakJson(r);
   record.gate("all_recovered", r.allRecovered);
   record.gate("soak_ok", r.soakOk);
@@ -123,15 +104,11 @@ int main(int argc, char** argv) {
   record.metric("error_ratio", r.errorRatio);
   record.metric("max_time_to_recover_s", r.maxTimeToRecoverS);
   record.metric("revolutions_reacquired", r.revolutionsReacquired);
-  if (!sidecarPath.empty()) {
-    bench::writeBenchSidecar(sidecarPath, record);
-  }
-
   std::printf("[acceptance: every outage recovered (%s), soak error within "
               "1.25x baseline (%.2fx), kill -9 resumed from checkpoint "
               "(%s) with %.3f revolutions re-acquired (want ~0)]\n",
               r.allRecovered ? "yes" : "NO", r.errorRatio,
               r.restoreOk ? "yes" : "NO", r.revolutionsReacquired);
 
-  return record.allGatesPass() ? 0 : 1;
+  return m.finish();
 }

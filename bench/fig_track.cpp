@@ -18,10 +18,8 @@
 // trajectories) and DIR/<outPrefix>.json; --json additionally writes the
 // BENCH_track.json sidecar.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "bench_json.hpp"
 #include "eval/report.hpp"
@@ -35,25 +33,12 @@ constexpr char kUsage[] =
 
 int main(int argc, char** argv) {
   eval::TrackEvalConfig tc;
-  std::string sidecarPath;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seed=", 0) == 0) {
-      tc.seed = std::stoull(arg.substr(7));
-    } else if (arg == "--json") {
-      sidecarPath = "BENCH_track.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      sidecarPath = arg.substr(7);
-    } else {
-      pos.push_back(arg);
-    }
-  }
-  const std::string outDir = eval::consumeOutDir(pos);
-  tc.windows = bench::numberArg(pos, 0, tc.windows, kUsage);
-  tc.rigCount = bench::numberArg(pos, 1, tc.rigCount, kUsage);
-  const std::string prefix =
-      eval::outputPath(outDir, pos.size() > 2 ? pos[2] : "fig_track");
+  bench::Main m(argc, argv,
+                {.usage = kUsage, .name = "track", .seed = &tc.seed,
+                 .out = true});
+  tc.windows = m.number(0, tc.windows);
+  tc.rigCount = m.number(1, tc.rigCount);
+  m.prefix = m.text(2, m.prefix);
 
   eval::printHeading("Tracking: moving reader vs one-shot fixes");
   std::printf("%d windows x %.1fs, %d rigs, %.2f m/s patrol, seed 0x%llX\n",
@@ -84,26 +69,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.replayDigest2),
               r.replayDeterministic ? "bit-identical" : "MISMATCH");
 
-  {
-    std::ofstream csv(prefix + "_clean.csv");
-    csv << eval::trackArmCsv(r.clean);
-  }
-  {
-    std::ofstream csv(prefix + "_dropout.csv");
-    csv << eval::trackArmCsv(r.dropout);
-  }
-  {
-    std::ofstream csv(prefix + "_outage.csv");
-    csv << eval::trackArmCsv(r.outage);
-  }
-  std::ofstream json(prefix + ".json");
-  json << eval::trackJson(r);
-  std::printf("\nwrote %s_{clean,dropout,outage}.csv and %s.json\n",
-              prefix.c_str(), prefix.c_str());
+  const std::string prefix = m.path();
+  std::ofstream(prefix + "_clean.csv") << eval::trackArmCsv(r.clean);
+  std::ofstream(prefix + "_dropout.csv") << eval::trackArmCsv(r.dropout);
+  std::ofstream(prefix + "_outage.csv") << eval::trackArmCsv(r.outage);
+  std::printf("\nwrote %s_{clean,dropout,outage}.csv\n", prefix.c_str());
 
-  bench::BenchRecord record;
-  record.name = "track";
-  record.seed = tc.seed;
+  bench::BenchRecord& record = m.record;
   record.payload = eval::trackJson(r);
   record.gate("tracked_rmse_within_0_7x",
               r.clean.fixRmseCm > 0.0 && r.rmseRatio <= 0.7);
@@ -118,15 +90,11 @@ int main(int argc, char** argv) {
   record.metric("outage_coast_fraction", r.outage.stats.coastFraction());
   record.metric("gate_rejects", double(r.dropout.stats.gateRejects));
   record.metric("model_switches", double(r.clean.stats.modelSwitches));
-  if (!sidecarPath.empty()) {
-    bench::writeBenchSidecar(sidecarPath, record);
-  }
-
   std::printf("[acceptance: tracked RMSE within 0.7x independent fixes "
               "(%.2fx), outage coasted without re-init (%s), replay "
               "bit-identical (%s)]\n",
               r.rmseRatio, r.outageSurvived ? "yes" : "NO",
               r.replayDeterministic ? "yes" : "NO");
 
-  return record.allGatesPass() ? 0 : 1;
+  return m.finish();
 }

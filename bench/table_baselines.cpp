@@ -6,7 +6,6 @@
 // Tagspin runs on its own infrastructure (two spinning rigs); the baselines
 // run in the same room with the reference-tag grid their designs require.
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "baselines/antloc.hpp"
@@ -22,8 +21,7 @@ using namespace tagspin;
 constexpr char kUsage[] = "table_baselines [trials]";
 
 int main(int argc, char** argv) {
-  const int trials = bench::numberArg(
-      std::vector<std::string>(argv + 1, argv + argc), 0, 20, kUsage);
+  const int trials = bench::Main(argc, argv, {.usage = kUsage}).number(0, 20);
   eval::printHeading("Baseline comparison (2D, same room, same trials)");
 
   sim::ScenarioConfig sc;

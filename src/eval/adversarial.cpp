@@ -9,6 +9,7 @@
 #include "dsp/stats.hpp"
 #include "eval/estimators.hpp"
 #include "eval/metrics.hpp"
+#include "obs/json.hpp"
 #include "sim/interrogator.hpp"
 #include "sim/rng.hpp"
 
@@ -229,36 +230,29 @@ std::string adversarialCsv(const AdversarialResult& result) {
 }
 
 std::string adversarialJson(const AdversarialResult& result) {
-  std::ostringstream out;
-  out << "{\n  \"points\": [\n";
-  for (size_t i = 0; i < result.points.size(); ++i) {
-    const AdversarialPoint& p = result.points[i];
-    out << "    {\"corrupted_rigs\": " << p.which.corruptedRigs
-        << ", \"ghost_fraction\": " << p.which.ghostFraction
-        << ", \"scatterers\": " << p.which.scattererCount
-        << ", \"trials\": " << p.trials
-        << ", \"baseline_fixes\": " << p.baselineFixes
-        << ", \"robust_fixes\": " << p.robustFixes
-        << ", \"baseline_median_cm\": " << p.baselineMedianCm
-        << ", \"baseline_p90_cm\": " << p.baselineP90Cm
-        << ", \"robust_median_cm\": " << p.robustMedianCm
-        << ", \"robust_p90_cm\": " << p.robustP90Cm
-        << ", \"mean_inlier_fraction\": " << p.meanInlierFraction
-        << ", \"suspect_spins\": " << p.suspectSpins
-        << ", \"quarantined_spins\": " << p.quarantinedSpins
-        << ", \"ellipse_trials\": " << p.ellipseTrials
-        << ", \"ellipse_covered\": " << p.ellipseCovered
-        << ", \"mean_ellipse_area_cm2\": " << p.meanEllipseAreaCm2
-        << ", \"robust_failures\": {";
-    size_t k = 0;
-    for (const auto& [name, count] : p.robustFailures) {
-      if (k++ > 0) out << ", ";
-      out << '"' << name << "\": " << count;
-    }
-    out << "}}" << (i + 1 < result.points.size() ? "," : "") << '\n';
+  obs::JsonWriter w;
+  w.beginObject().key("points").beginArray();
+  for (const AdversarialPoint& p : result.points) {
+    w.beginObject().field("corrupted_rigs", p.which.corruptedRigs);
+    w.field("ghost_fraction", p.which.ghostFraction);
+    w.field("scatterers", p.which.scattererCount).field("trials", p.trials);
+    w.field("baseline_fixes", p.baselineFixes);
+    w.field("robust_fixes", p.robustFixes);
+    w.field("baseline_median_cm", p.baselineMedianCm);
+    w.field("baseline_p90_cm", p.baselineP90Cm);
+    w.field("robust_median_cm", p.robustMedianCm);
+    w.field("robust_p90_cm", p.robustP90Cm);
+    w.field("mean_inlier_fraction", p.meanInlierFraction);
+    w.field("suspect_spins", p.suspectSpins);
+    w.field("quarantined_spins", p.quarantinedSpins);
+    w.field("ellipse_trials", p.ellipseTrials);
+    w.field("ellipse_covered", p.ellipseCovered);
+    w.field("mean_ellipse_area_cm2", p.meanEllipseAreaCm2);
+    w.key("robust_failures").beginObject();
+    for (const auto& [name, count] : p.robustFailures) w.field(name, count);
+    w.end().end();
   }
-  out << "  ]\n}\n";
-  return out.str();
+  return w.end().end().str();
 }
 
 std::string adversarialCdfCsv(const AdversarialResult& result) {

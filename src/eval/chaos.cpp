@@ -7,6 +7,7 @@
 #include "dsp/stats.hpp"
 #include "eval/estimators.hpp"
 #include "eval/metrics.hpp"
+#include "obs/json.hpp"
 #include "sim/interrogator.hpp"
 #include "sim/rng.hpp"
 
@@ -170,32 +171,26 @@ std::string chaosCsv(const ChaosResult& result) {
 }
 
 std::string chaosJson(const ChaosResult& result) {
-  std::ostringstream out;
-  out << "{\n  \"clean_median_error_cm\": " << result.cleanMedianErrorCm
-      << ",\n  \"points\": [\n";
-  for (size_t i = 0; i < result.points.size(); ++i) {
-    const ChaosPoint& p = result.points[i];
-    out << "    {\"intensity\": " << p.intensity << ", \"trials\": "
-        << p.trials << ", \"fixes\": " << p.fixes << ", \"fix_rate\": "
-        << p.fixRate << ", \"mean_error_cm\": " << p.meanErrorCm
-        << ", \"median_error_cm\": " << p.medianErrorCm
-        << ", \"p90_error_cm\": " << p.p90ErrorCm
-        << ", \"degraded_fixes\": " << p.degradedFixes
-        << ", \"frames_decoded\": " << p.decode.framesDecoded
-        << ", \"frames_skipped\": " << p.decode.framesSkipped
-        << ", \"frames_rejected\": " << p.decode.framesRejected
-        << ", \"bytes_resynced\": " << p.decode.bytesResynced
-        << ", \"median_fix_latency_ms\": " << p.medianFixLatencyMs
-        << ", \"failures\": {";
-    size_t k = 0;
-    for (const auto& [name, count] : p.failures) {
-      if (k++ > 0) out << ", ";
-      out << '"' << name << "\": " << count;
-    }
-    out << "}}" << (i + 1 < result.points.size() ? "," : "") << '\n';
+  obs::JsonWriter w;
+  w.beginObject().field("clean_median_error_cm", result.cleanMedianErrorCm);
+  w.key("points").beginArray();
+  for (const ChaosPoint& p : result.points) {
+    w.beginObject().field("intensity", p.intensity);
+    w.field("trials", p.trials).field("fixes", p.fixes);
+    w.field("fix_rate", p.fixRate).field("mean_error_cm", p.meanErrorCm);
+    w.field("median_error_cm", p.medianErrorCm);
+    w.field("p90_error_cm", p.p90ErrorCm);
+    w.field("degraded_fixes", p.degradedFixes);
+    w.field("frames_decoded", p.decode.framesDecoded);
+    w.field("frames_skipped", p.decode.framesSkipped);
+    w.field("frames_rejected", p.decode.framesRejected);
+    w.field("bytes_resynced", p.decode.bytesResynced);
+    w.field("median_fix_latency_ms", p.medianFixLatencyMs);
+    w.key("failures").beginObject();
+    for (const auto& [name, count] : p.failures) w.field(name, count);
+    w.end().end();
   }
-  out << "  ]\n}\n";
-  return out.str();
+  return w.end().end().str();
 }
 
 }  // namespace tagspin::eval

@@ -7,7 +7,6 @@
 #include <optional>
 #include <set>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 
 #include "capture/digest.hpp"
@@ -473,9 +472,9 @@ struct CrashEnv {
         sim::FaultKind::kFsyncFailPartial, sim::FaultKind::kCrash};
     f.kind = kKinds[rng() % std::size(kKinds)];
   }
-  static void faultJson(std::ostream& out, const Fault& f) {
-    out << "{\"op\": " << f.opIndex << ", \"kind\": \""
-        << sim::faultKindName(f.kind) << "\"}";
+  static void faultJson(obs::JsonWriter& w, const Fault& f) {
+    w.beginObject().field("op", f.opIndex);
+    w.field("kind", sim::faultKindName(f.kind)).end();
   }
 
   uint64_t seed;
@@ -627,16 +626,14 @@ CrashEvalResult runCrashEval(const CrashExploreConfig& config) {
   const auto fails = [&](const sim::FaultSchedule& schedule) {
     return !env.runSchedule(broken, schedule, faultSeed).violations.empty();
   };
-  const auto tail = [&](const sim::FaultSchedule& shrunk) {
+  const auto tail = [&](obs::JsonWriter& w, const sim::FaultSchedule& shrunk) {
     const CrashEnv::Outcome replay = env.runSchedule(broken, shrunk, faultSeed);
-    if (replay.violations.empty()) return std::string();
+    if (replay.violations.empty()) return;
     const CrashViolation& v = replay.violations.front();
-    return ", \"persist\": {\"mode\": \"" + v.persistMode +
-           "\", \"seed\": " + std::to_string(v.persistSeed) +
-           "}, \"detail\": \"" + obs::jsonEscape(v.detail) + "\"";
+    w.key("persist").beginObject().field("mode", v.persistMode);
+    w.field("seed", v.persistSeed).end().field("detail", v.detail);
   };
-  shrinkPlantedBug(env, "broken_writer",
-                   "\"fault_seed\": " + std::to_string(faultSeed), 0xB40C,
+  shrinkPlantedBug(env, "broken_writer", "fault_seed", faultSeed, 0xB40C,
                    config.brokenSearchRounds, brokenStats.boundaries,
                    config.maxScheduleFaults, fails, tail, result);
 

@@ -27,7 +27,7 @@
 //   static constexpr const char* kOpKey;       // a violation's armed point,
 //   static constexpr const char* kPlantedKey;  // the planted-bug arm
 //   static void drawFault(std::mt19937_64&, Fault&);  // kind (+ param)
-//   static void faultJson(std::ostream&, const Fault&);
+//   static void faultJson(obs::JsonWriter&, const Fault&);  // an object
 //   uint64_t seed;
 //   RunOutcome<Fault> probe(const Workload&, uint64_t& boundaries) const;
 //   size_t sweepPoints(uint64_t boundaries) const;
@@ -40,6 +40,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iomanip>
 #include <random>
 #include <sstream>
@@ -47,7 +48,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/export.hpp"
+#include "obs/json.hpp"
 #include "sim/rng.hpp"
 
 namespace tagspin::eval {
@@ -231,15 +232,11 @@ std::vector<typename Env::Fault> randomSchedule(std::mt19937_64& rng,
 }
 
 template <typename Env>
-std::string scheduleJson(const std::vector<typename Env::Fault>& schedule) {
-  std::ostringstream out;
-  out << '[';
-  for (size_t i = 0; i < schedule.size(); ++i) {
-    out << (i ? ", " : "");
-    Env::faultJson(out, schedule[i]);
-  }
-  out << ']';
-  return out.str();
+void scheduleJson(obs::JsonWriter& w,
+                  const std::vector<typename Env::Fault>& schedule) {
+  w.beginArray();
+  for (const typename Env::Fault& f : schedule) Env::faultJson(w, f);
+  w.end();
 }
 
 /// Arm 2: `rounds` random schedules (generator seeded from `rngSalt`)
@@ -285,14 +282,15 @@ void searchSchedules(const Env& env,
 /// Arm 3, after the environment has set `r.brokenCaught`: search `rounds`
 /// random schedules (faults below `maxOp`, generator seeded from `rngSalt`)
 /// for one that `fails`, shrink it with ddmin, and record the artifact
-///   {"workload": name, <replay>, "schedule": [...]<tail(shrunk)>}
-/// where `replay` holds the fields that re-arm the run besides the schedule
-/// and `tail` appends the fields describing the failure.
+///   {"workload": name, replayKey: replayValue, "schedule": [...], <tail>}
+/// where the replay field re-arms the run besides the schedule and
+/// `tail(writer, shrunk)` adds the fields describing the failure.
 template <typename Env, typename FailsFn, typename TailFn>
 void shrinkPlantedBug(const Env& env, const std::string& name,
-                      const std::string& replay, uint64_t rngSalt,
-                      size_t rounds, uint64_t maxOp, size_t maxFaults,
-                      const FailsFn& fails, const TailFn& tail,
+                      const char* replayKey, uint64_t replayValue,
+                      uint64_t rngSalt, size_t rounds, uint64_t maxOp,
+                      size_t maxFaults, const FailsFn& fails,
+                      const TailFn& tail,
                       ExploreResult<typename Env::Fault>& r) {
   std::mt19937_64 rng = sim::makeRng(sim::deriveSeed(env.seed, rngSalt));
   std::vector<typename Env::Fault> failing;
@@ -306,65 +304,62 @@ void shrinkPlantedBug(const Env& env, const std::string& name,
   r.brokenScheduleFaults = failing.size();
   const std::vector<typename Env::Fault> shrunk = ddminShrink(failing, fails);
   r.brokenShrunkFaults = shrunk.size();
-  r.brokenArtifactJson = "{\"workload\": \"" + name + "\", " + replay +
-                         ", \"schedule\": " + scheduleJson<Env>(shrunk) +
-                         tail(shrunk) + "}";
+  obs::JsonWriter w;
+  w.beginObject().field("workload", name).field(replayKey, replayValue);
+  w.key("schedule");
+  scheduleJson<Env>(w, shrunk);
+  tail(w, shrunk);
+  r.brokenArtifactJson = w.end().str();
 }
 
-/// The full result as JSON (the BENCH_<env>.json payload).  `arms` holds
-/// the environment's own sections, each a line "  \"key\": {...},\n",
-/// placed between the schedule search and the planted bug.
+/// The full result as JSON (the BENCH_<env>.json payload).  `arms` adds
+/// the environment's own sections, placed between the schedule search and
+/// the planted bug.
 template <typename Env>
-std::string exploreJson(const ExploreResult<typename Env::Fault>& r,
-                        const std::string& arms = "") {
-  using obs::jsonEscape;
-  std::ostringstream out;
-  out << "{\n  \"workloads\": [\n";
-  for (size_t i = 0; i < r.workloads.size(); ++i) {
-    const WorkloadStats& w = r.workloads[i];
-    out << "    {\"name\": \"" << jsonEscape(w.name)
-        << "\", \"boundaries\": " << w.boundaries << ", \""
-        << Env::kPointsKey << "\": " << w.points;
-    if (!Env::kCrashes) out << ", \"denials\": " << w.denials;
-    out << ", \"violations\": " << w.violations << '}'
-        << (i + 1 < r.workloads.size() ? "," : "") << '\n';
+std::string exploreJson(
+    const ExploreResult<typename Env::Fault>& r,
+    const std::function<void(obs::JsonWriter&)>& arms = {}) {
+  obs::JsonWriter w;
+  w.beginObject().key("workloads").beginArray();
+  for (const WorkloadStats& ws : r.workloads) {
+    w.beginObject().field("name", ws.name).field("boundaries", ws.boundaries);
+    w.field(Env::kPointsKey, ws.points);
+    if (!Env::kCrashes) w.field("denials", ws.denials);
+    w.field("violations", ws.violations).end();
   }
-  out << "  ],\n";
-  out << "  \"total_boundaries\": " << r.totalBoundaries << ",\n";
-  out << "  \"total_" << Env::kPointsKey << "\": " << r.totalPoints << ",\n";
-  out << "  \"total_violations\": " << r.totalViolations << ",\n";
-  out << "  \"schedule_search\": {\"runs\": " << r.scheduleRuns;
+  w.end();
+  w.field("total_boundaries", r.totalBoundaries);
+  w.field(std::string("total_") + Env::kPointsKey, r.totalPoints);
+  w.field("total_violations", r.totalViolations);
+  w.key("schedule_search").beginObject().field("runs", r.scheduleRuns);
   if (Env::kCrashes) {
-    out << ", \"crashes\": " << r.scheduleCrashes
-        << ", \"checks\": " << r.scheduleChecks;
+    w.field("crashes", r.scheduleCrashes).field("checks", r.scheduleChecks);
   } else {
-    out << ", \"denials\": " << r.scheduleDenials;
+    w.field("denials", r.scheduleDenials);
   }
-  out << ", \"violations\": " << r.scheduleViolations << "},\n";
-  out << arms;
-  out << "  \"" << Env::kPlantedKey << "\": {\"caught\": "
-      << (r.brokenCaught ? "true" : "false") << ", \"schedule_found\": "
-      << (r.brokenScheduleFound ? "true" : "false")
-      << ", \"schedule_faults\": " << r.brokenScheduleFaults
-      << ", \"shrunk_faults\": " << r.brokenShrunkFaults << ", \"artifact\": "
-      << (r.brokenArtifactJson.empty() ? "null" : r.brokenArtifactJson)
-      << "},\n";
-  out << "  \"violations\": [\n";
-  for (size_t i = 0; i < r.violations.size(); ++i) {
-    const Violation<typename Env::Fault>& v = r.violations[i];
-    out << "    {\"workload\": \"" << jsonEscape(v.workload) << "\", \""
-        << Env::kOpKey << "\": " << v.atOp;
+  w.field("violations", r.scheduleViolations).end();
+  if (arms) arms(w);
+  w.key(Env::kPlantedKey).beginObject().field("caught", r.brokenCaught);
+  w.field("schedule_found", r.brokenScheduleFound);
+  w.field("schedule_faults", r.brokenScheduleFaults);
+  w.field("shrunk_faults", r.brokenShrunkFaults).key("artifact");
+  if (r.brokenArtifactJson.empty()) {
+    w.null();
+  } else {
+    w.raw(r.brokenArtifactJson);
+  }
+  w.end().key("violations").beginArray();
+  for (const Violation<typename Env::Fault>& v : r.violations) {
+    w.beginObject().field("workload", v.workload).field(Env::kOpKey, v.atOp);
     if (Env::kCrashes) {
-      out << ", \"persist\": \"" << jsonEscape(v.persistMode)
-          << "\", \"persist_seed\": " << v.persistSeed;
+      w.field("persist", v.persistMode).field("persist_seed", v.persistSeed);
     }
-    out << ", \"schedule\": " << scheduleJson<Env>(v.schedule)
-        << ", \"detail\": \"" << jsonEscape(v.detail) << "\"}"
-        << (i + 1 < r.violations.size() ? "," : "") << '\n';
+    w.key("schedule");
+    scheduleJson<Env>(w, v.schedule);
+    w.field("detail", v.detail).end();
   }
-  out << "  ],\n";
-  out << "  \"pass\": " << (r.pass ? "true" : "false") << "\n}\n";
-  return out.str();
+  w.end().field("pass", r.pass);
+  return w.end().str();
 }
 
 /// The text report every front end prints: per-workload table, totals,
@@ -402,7 +397,7 @@ std::string exploreReport(const ExploreResult<typename Env::Fault>& r,
       << r.brokenScheduleFaults << " faults), shrunk to "
       << r.brokenShrunkFaults << " fault(s)\n";
   if (!r.brokenArtifactJson.empty()) {
-    out << "minimal artifact: " << r.brokenArtifactJson << '\n';
+    out << "minimal artifact: " << r.brokenArtifactJson;
   }
   for (const Violation<typename Env::Fault>& v : r.violations) {
     out << "VIOLATION [" << v.workload << "] " << Env::kOpKey << '='

@@ -5,10 +5,10 @@
 #include <cstdio>
 #include <memory>
 #include <numbers>
-#include <sstream>
 #include <unordered_set>
 
 #include "dsp/stats.hpp"
+#include "obs/json.hpp"
 #include "sim/rng.hpp"
 
 namespace tagspin::eval {
@@ -227,50 +227,42 @@ FleetEvalResult runFleetEval(const FleetEvalConfig& config) {
 }
 
 std::string fleetJson(const FleetEvalResult& result) {
-  std::ostringstream out;
-  out << "{\n";
-  const auto num = [&](const char* key, double v, bool comma = true) {
-    char line[128];
-    std::snprintf(line, sizeof(line), "  \"%s\": %.6g%s\n", key, v,
-                  comma ? "," : "");
-    out << line;
-  };
-  num("sessions", double(result.sessions));
-  num("shards", double(result.shards));
-  num("span_s", result.spanS);
-  num("outage_start_s", result.outageStartS);
-  num("outage_end_s", result.outageEndS);
-  num("baseline_p50_s", result.baselineP50S);
-  num("baseline_p99_s", result.baselineP99S);
-  num("chaos_p50_s", result.chaosP50S);
-  num("chaos_p99_s", result.chaosP99S);
-  num("isolation_ratio", result.isolationRatio);
-  num("session_ticks_per_sec", result.sessionTicksPerSec);
-  num("baseline_fix_rate", result.baseline.fixRate);
-  num("chaos_fix_rate", result.chaos.fixRate);
-  num("chaos_window_samples",
-      double(result.chaos.healthyWindowLatenciesS.size()));
-  num("baseline_window_samples",
-      double(result.baseline.healthyWindowLatenciesS.size()));
-  num("outage_cohort", double(result.chaos.outageCohort));
-  num("outage_recovered", double(result.chaos.recovered));
-  num("recovery_first_s", result.chaos.firstRecoveryS);
-  num("recovery_last_s", result.chaos.lastRecoveryS);
-  num("recovery_spread_s", result.chaos.recoverySpreadS);
-  num("ejections", double(result.chaos.stats.ejections));
-  num("readmissions", double(result.chaos.stats.readmissions));
-  num("quarantined_at_end", double(result.chaos.stats.quarantinedNow));
-  num("budget_denied", double(result.chaos.stats.budgetDenied));
-  num("sessions_deferred", double(result.chaos.stats.sessionsDeferred));
-  num("fixes_computed", double(result.chaos.stats.fixesComputed));
-  num("fixes_skipped_shed", double(result.chaos.stats.fixesSkippedShed));
-  num("shed_degraded_ticks", double(result.chaos.stats.shedDegradedTicks));
-  num("shed_critical_ticks", double(result.chaos.stats.shedCriticalTicks));
-  num("checkpoint_writes", double(result.chaos.stats.checkpointWrites));
-  num("wall_seconds_chaos", result.chaos.wallSeconds);
-  num("wall_seconds_baseline", result.baseline.wallSeconds, false);
-  out << "}\n";
-  return out.str();
+  const FleetArmResult& chaos = result.chaos;
+  obs::JsonWriter w;
+  w.beginObject();
+  w.field("sessions", result.sessions).field("shards", result.shards);
+  w.field("span_s", result.spanS);
+  w.field("outage_start_s", result.outageStartS);
+  w.field("outage_end_s", result.outageEndS);
+  w.field("baseline_p50_s", result.baselineP50S);
+  w.field("baseline_p99_s", result.baselineP99S);
+  w.field("chaos_p50_s", result.chaosP50S);
+  w.field("chaos_p99_s", result.chaosP99S);
+  w.field("isolation_ratio", result.isolationRatio);
+  w.field("session_ticks_per_sec", result.sessionTicksPerSec);
+  w.field("baseline_fix_rate", result.baseline.fixRate);
+  w.field("chaos_fix_rate", chaos.fixRate);
+  w.field("chaos_window_samples", chaos.healthyWindowLatenciesS.size());
+  w.field("baseline_window_samples",
+          result.baseline.healthyWindowLatenciesS.size());
+  w.field("outage_cohort", chaos.outageCohort);
+  w.field("outage_recovered", chaos.recovered);
+  w.field("recovery_first_s", chaos.firstRecoveryS);
+  w.field("recovery_last_s", chaos.lastRecoveryS);
+  w.field("recovery_spread_s", chaos.recoverySpreadS);
+  w.field("ejections", chaos.stats.ejections);
+  w.field("readmissions", chaos.stats.readmissions);
+  w.field("quarantined_at_end", chaos.stats.quarantinedNow);
+  w.field("budget_denied", chaos.stats.budgetDenied);
+  w.field("sessions_deferred", chaos.stats.sessionsDeferred);
+  w.field("fixes_computed", chaos.stats.fixesComputed);
+  w.field("fixes_skipped_shed", chaos.stats.fixesSkippedShed);
+  w.field("shed_degraded_ticks", chaos.stats.shedDegradedTicks);
+  w.field("shed_critical_ticks", chaos.stats.shedCriticalTicks);
+  w.field("checkpoint_writes", chaos.stats.checkpointWrites);
+  w.field("wall_seconds_chaos", chaos.wallSeconds);
+  w.field("wall_seconds_baseline", result.baseline.wallSeconds);
+  return w.end().str();
 }
 
 }  // namespace tagspin::eval

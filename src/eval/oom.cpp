@@ -7,7 +7,6 @@
 #include <memory>
 #include <numbers>
 #include <optional>
-#include <sstream>
 
 #include "capture/digest.hpp"
 #include "capture/replay.hpp"
@@ -621,10 +620,10 @@ struct OomEnv {
     f.kind = kMemKinds[rng() % std::size(kMemKinds)];
     f.param = f.kind == sim::MemFaultKind::kBurst ? 2 + rng() % 5 : 1;
   }
-  static void faultJson(std::ostream& out, const Fault& f) {
-    out << "{\"op\": " << f.opIndex << ", \"kind\": \""
-        << sim::memFaultKindName(f.kind) << "\", \"param\": " << f.param
-        << "}";
+  static void faultJson(obs::JsonWriter& w, const Fault& f) {
+    w.beginObject().field("op", f.opIndex);
+    w.field("kind", sim::memFaultKindName(f.kind));
+    w.field("param", f.param).end();
   }
 
   uint64_t seed;
@@ -782,14 +781,11 @@ OomEvalResult runOomEval(const OomExploreConfig& config) {
     return runBroken([&schedule](sim::SimMemEnv& e) { e.setFaults(schedule); });
   };
   shrinkPlantedBug(
-      env, "broken_shed_cache",
-      "\"ops\": " + std::to_string(config.brokenCacheOps), 0xB0B,
+      env, "broken_shed_cache", "ops", config.brokenCacheOps, 0xB0B,
       config.brokenSearchRounds, config.brokenCacheOps,
       config.maxScheduleFaults, fails,
-      [](const sim::MemFaultSchedule&) {
-        return std::string(
-            ", \"detail\": \"accounting underflow: release without "
-            "reserve\"");
+      [](obs::JsonWriter& w, const sim::MemFaultSchedule&) {
+        w.field("detail", "accounting underflow: release without reserve");
       },
       result);
 
@@ -802,21 +798,20 @@ OomEvalResult runOomEval(const OomExploreConfig& config) {
 }
 
 std::string oomJson(const OomEvalResult& r) {
-  std::ostringstream arms;
-  // "checked" stays in the payload schema; both gates always run.
-  arms << "  \"parity\": {\"checked\": true, \"bit_identical\": "
-       << (r.parityBitIdentical ? "true" : "false")
-       << ", \"baseline_digest\": \"" << r.parityBaselineDigest
-       << "\", \"seam_digest\": \"" << r.paritySeamDigest << "\"},\n";
-  arms << "  \"pressure\": {\"checked\": true, \"fix_rate\": "
-       << r.pressureFixRate << ", \"utilization\": " << r.pressureUtilization
-       << ", \"shard_budget_bytes\": " << r.pressureShardBudgetBytes
-       << ", \"trims\": " << r.pressureTrims
-       << ", \"ejections\": " << r.pressureEjections
-       << ", \"denied_reserves\": " << r.pressureDeniedReserves
-       << ", \"recovered\": " << (r.pressureRecovered ? "true" : "false")
-       << "},\n";
-  return exploreJson<OomEnv>(r, arms.str());
+  return exploreJson<OomEnv>(r, [&r](obs::JsonWriter& w) {
+    // "checked" stays in the payload schema; both gates always run.
+    w.key("parity").beginObject().field("checked", true);
+    w.field("bit_identical", r.parityBitIdentical);
+    w.field("baseline_digest", r.parityBaselineDigest);
+    w.field("seam_digest", r.paritySeamDigest).end();
+    w.key("pressure").beginObject().field("checked", true);
+    w.field("fix_rate", r.pressureFixRate);
+    w.field("utilization", r.pressureUtilization);
+    w.field("shard_budget_bytes", r.pressureShardBudgetBytes);
+    w.field("trims", r.pressureTrims).field("ejections", r.pressureEjections);
+    w.field("denied_reserves", r.pressureDeniedReserves);
+    w.field("recovered", r.pressureRecovered).end();
+  });
 }
 
 std::string oomReport(const OomEvalResult& r) {

@@ -16,6 +16,7 @@
 #include "capture/writer.hpp"
 #include "eval/fleet.hpp"
 #include "eval/metrics.hpp"
+#include "obs/json.hpp"
 #include "rfid/llrp.hpp"
 #include "runtime/fleet.hpp"
 #include "sim/flaky_transport.hpp"
@@ -330,54 +331,40 @@ ReplayEvalResult runReplayEval(const ReplayEvalConfig& config) {
 }
 
 std::string replayJson(const ReplayEvalResult& result) {
-  std::ostringstream out;
-  out << "{\n";
-  const auto num = [&](const char* key, double v, bool comma = true) {
-    char line[128];
-    std::snprintf(line, sizeof(line), "  \"%s\": %.6g%s\n", key, v,
-                  comma ? "," : "");
-    out << line;
-  };
-  const auto boolean = [&](const char* key, bool v) {
-    out << "  \"" << key << "\": " << (v ? "true" : "false") << ",\n";
-  };
-  const auto text = [&](const char* key, const std::string& v) {
-    out << "  \"" << key << "\": \"" << v << "\",\n";
-  };
-  boolean("live_ok", result.liveOk);
-  num("live_error_cm", result.liveErrorCm);
-  text("live_fix_digest", capture::digestHex(result.liveFixDigest));
-  text("live_grade", result.liveGrade);
-  num("live_reports_ingested", double(result.liveReportsIngested));
-  num("reports_captured", double(result.reportsCaptured));
-  num("chunks_captured", double(result.chunksCaptured));
-  num("capture_bytes", double(result.captureBytes));
-  num("bytes_per_report", result.bytesPerReport);
-  boolean("capture_intact", result.captureIntact);
-  boolean("replay_ok", result.replay1.ok);
-  num("replay_error_cm", result.replay1.errorCm);
-  text("replay_fix_digest", capture::digestHex(result.replay1.fixDigest));
-  text("replay_fix_digest2", capture::digestHex(result.replay2.fixDigest));
-  boolean("replay_deterministic", result.replayDeterministic);
-  boolean("fix_parity_exact", result.fixParityExact);
-  num("fix_parity_cm", result.fixParityCm);
-  num("replay_wall_s", result.replayWallS);
-  num("replay_throughput_rps", result.replayThroughputRps);
-  num("chunks_corrupted", double(result.chunksCorrupted));
-  num("corrupt_chunks_skipped", double(result.corruptStats.chunksSkipped));
-  num("corrupt_bytes_resynced", double(result.corruptStats.bytesResynced));
-  num("recovery_rate", result.recoveryRate);
-  boolean("corrupt_replay_ok", result.corruptReplay.ok);
-  num("corrupt_replay_error_cm", result.corruptReplay.errorCm);
-  num("fleet_sessions", double(result.fleetSessions));
-  num("fleet_shards", double(result.fleetShards));
-  num("fleet_sessions_with_fix", double(result.fleetSessionsWithFix));
-  num("fleet_fix_rate", result.fleetFixRate);
-  num("fleet_reports_ingested", double(result.fleetReportsIngested));
-  num("fleet_wall_s", result.fleetWallS);
-  num("fleet_throughput_rps", result.fleetThroughputRps, false);
-  out << "}\n";
-  return out.str();
+  obs::JsonWriter w;
+  w.beginObject();
+  w.field("live_ok", result.liveOk).field("live_error_cm", result.liveErrorCm);
+  w.field("live_fix_digest", capture::digestHex(result.liveFixDigest));
+  w.field("live_grade", result.liveGrade);
+  w.field("live_reports_ingested", result.liveReportsIngested);
+  w.field("reports_captured", result.reportsCaptured);
+  w.field("chunks_captured", result.chunksCaptured);
+  w.field("capture_bytes", result.captureBytes);
+  w.field("bytes_per_report", result.bytesPerReport);
+  w.field("capture_intact", result.captureIntact);
+  w.field("replay_ok", result.replay1.ok);
+  w.field("replay_error_cm", result.replay1.errorCm);
+  w.field("replay_fix_digest", capture::digestHex(result.replay1.fixDigest));
+  w.field("replay_fix_digest2", capture::digestHex(result.replay2.fixDigest));
+  w.field("replay_deterministic", result.replayDeterministic);
+  w.field("fix_parity_exact", result.fixParityExact);
+  w.field("fix_parity_cm", result.fixParityCm);
+  w.field("replay_wall_s", result.replayWallS);
+  w.field("replay_throughput_rps", result.replayThroughputRps);
+  w.field("chunks_corrupted", result.chunksCorrupted);
+  w.field("corrupt_chunks_skipped", result.corruptStats.chunksSkipped);
+  w.field("corrupt_bytes_resynced", result.corruptStats.bytesResynced);
+  w.field("recovery_rate", result.recoveryRate);
+  w.field("corrupt_replay_ok", result.corruptReplay.ok);
+  w.field("corrupt_replay_error_cm", result.corruptReplay.errorCm);
+  w.field("fleet_sessions", result.fleetSessions);
+  w.field("fleet_shards", result.fleetShards);
+  w.field("fleet_sessions_with_fix", result.fleetSessionsWithFix);
+  w.field("fleet_fix_rate", result.fleetFixRate);
+  w.field("fleet_reports_ingested", result.fleetReportsIngested);
+  w.field("fleet_wall_s", result.fleetWallS);
+  w.field("fleet_throughput_rps", result.fleetThroughputRps);
+  return w.end().str();
 }
 
 }  // namespace tagspin::eval

@@ -2,29 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
-#include <system_error>
 
 namespace tagspin::eval {
-
-std::string consumeOutDir(std::vector<std::string>& args,
-                          const std::string& fallback) {
-  std::string dir = fallback;
-  for (auto it = args.begin(); it != args.end(); ++it) {
-    if (it->rfind("--out=", 0) == 0) {
-      dir = it->substr(6);
-      args.erase(it);
-      break;
-    }
-  }
-  return dir.empty() ? "." : dir;
-}
-
-std::string outputPath(const std::string& dir, const std::string& name) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  return (std::filesystem::path(dir) / name).string();
-}
 
 void printHeading(const std::string& title) {
   std::printf("\n================================================================\n");

@@ -6,7 +6,6 @@
 #include <span>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "dsp/stats.hpp"
 #include "eval/metrics.hpp"
@@ -36,17 +35,5 @@ void printSeries(const std::string& xLabel, const std::string& yLabel,
 /// stand-in for the paper's polar plots (Fig. 1, 6).
 void printProfileAscii(const std::string& name,
                        std::span<const double> profile, int rows = 12);
-
-/// Output directory for bench artifacts: consume a leading "--out=DIR"
-/// argument from `args` (erasing it) and return DIR, or `fallback` when no
-/// flag is present.  outputPath() creates it, once the bench has accepted
-/// the rest of its command line, so figure binaries stop littering the CWD
-/// and a rejected command line leaves nothing behind.
-std::string consumeOutDir(std::vector<std::string>& args,
-                          const std::string& fallback = "bench/out");
-
-/// dir + "/" + name with the directory created; the one place bench file
-/// paths are assembled.
-std::string outputPath(const std::string& dir, const std::string& name);
 
 }  // namespace tagspin::eval

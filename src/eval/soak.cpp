@@ -10,6 +10,7 @@
 #include "eval/estimators.hpp"
 #include "eval/metrics.hpp"
 #include "core/tagspin.hpp"
+#include "obs/json.hpp"
 #include "sim/rng.hpp"
 
 namespace tagspin::eval {
@@ -269,52 +270,40 @@ std::string soakCsv(const SoakResult& result) {
 }
 
 std::string soakJson(const SoakResult& result) {
-  std::ostringstream out;
-  out << "{\n";
-  const auto num = [&](const char* key, double v, bool comma = true) {
-    char line[128];
-    std::snprintf(line, sizeof(line), "  \"%s\": %.6g%s\n", key, v,
-                  comma ? "," : "");
-    out << line;
-  };
-  const auto boolean = [&](const char* key, bool v) {
-    out << "  \"" << key << "\": " << (v ? "true" : "false") << ",\n";
-  };
-  boolean("baseline_ok", result.baselineOk);
-  boolean("soak_ok", result.soakOk);
-  num("baseline_error_cm", result.baselineErrorCm);
-  num("soak_error_cm", result.soakErrorCm);
-  num("error_ratio", result.errorRatio);
-  out << "  \"soak_grade\": \"" << result.soakGrade << "\",\n";
-  out << "  \"soak_failure\": \"" << result.soakFailure << "\",\n";
-  boolean("all_recovered", result.allRecovered);
-  num("outages_tracked", double(result.recoveries.size()));
-  num("max_time_to_recover_s", result.maxTimeToRecoverS);
-  num("mean_time_to_recover_s", result.meanTimeToRecoverS);
-  num("clean_reports", double(result.cleanReports));
-  num("reports_seen", double(result.reportsSeen));
-  num("reports_ingested", double(result.reportsIngested));
-  num("frames_lost_while_down", double(result.framesLostWhileDown));
-  num("report_loss_fraction", result.reportLossFraction);
-  boolean("killed", result.killed);
-  boolean("restore_ok", result.restoreOk);
-  num("kill_at_s", result.killAtS);
-  num("snapshots_at_kill", double(result.snapshotsAtKill));
-  num("snapshots_restored", double(result.snapshotsRestored));
-  num("checkpoint_age_at_kill_s", result.checkpointAgeAtKillS);
-  num("revolutions_reacquired", result.revolutionsReacquired);
-  num("checkpoints_saved", double(result.checkpointsSaved));
-  num("sessions_restarted", double(result.sessionsRestarted));
-  num("session_disconnects", double(result.sessionDisconnects));
-  num("watchdog_no_report", double(result.watchdogNoReport));
-  num("watchdog_stuck_clock", double(result.watchdogStuckClock));
-  num("duplicates_suppressed", double(result.duplicatesSuppressed));
-  num("queue_refused_full", double(result.queue.refusedFull));
-  num("queue_dropped_oldest", double(result.queue.droppedOldest));
-  num("queue_dropped_sampled", double(result.queue.droppedSampled));
-  num("queue_max_depth", double(result.queue.maxDepth), false);
-  out << "}\n";
-  return out.str();
+  obs::JsonWriter w;
+  w.beginObject();
+  w.field("baseline_ok", result.baselineOk).field("soak_ok", result.soakOk);
+  w.field("baseline_error_cm", result.baselineErrorCm);
+  w.field("soak_error_cm", result.soakErrorCm);
+  w.field("error_ratio", result.errorRatio);
+  w.field("soak_grade", result.soakGrade);
+  w.field("soak_failure", result.soakFailure);
+  w.field("all_recovered", result.allRecovered);
+  w.field("outages_tracked", result.recoveries.size());
+  w.field("max_time_to_recover_s", result.maxTimeToRecoverS);
+  w.field("mean_time_to_recover_s", result.meanTimeToRecoverS);
+  w.field("clean_reports", result.cleanReports);
+  w.field("reports_seen", result.reportsSeen);
+  w.field("reports_ingested", result.reportsIngested);
+  w.field("frames_lost_while_down", result.framesLostWhileDown);
+  w.field("report_loss_fraction", result.reportLossFraction);
+  w.field("killed", result.killed).field("restore_ok", result.restoreOk);
+  w.field("kill_at_s", result.killAtS);
+  w.field("snapshots_at_kill", result.snapshotsAtKill);
+  w.field("snapshots_restored", result.snapshotsRestored);
+  w.field("checkpoint_age_at_kill_s", result.checkpointAgeAtKillS);
+  w.field("revolutions_reacquired", result.revolutionsReacquired);
+  w.field("checkpoints_saved", result.checkpointsSaved);
+  w.field("sessions_restarted", result.sessionsRestarted);
+  w.field("session_disconnects", result.sessionDisconnects);
+  w.field("watchdog_no_report", result.watchdogNoReport);
+  w.field("watchdog_stuck_clock", result.watchdogStuckClock);
+  w.field("duplicates_suppressed", result.duplicatesSuppressed);
+  w.field("queue_refused_full", result.queue.refusedFull);
+  w.field("queue_dropped_oldest", result.queue.droppedOldest);
+  w.field("queue_dropped_sampled", result.queue.droppedSampled);
+  w.field("queue_max_depth", result.queue.maxDepth);
+  return w.end().str();
 }
 
 }  // namespace tagspin::eval

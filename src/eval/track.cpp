@@ -9,6 +9,7 @@
 #include "capture/replay.hpp"
 #include "core/tagspin.hpp"
 #include "eval/metrics.hpp"
+#include "obs/json.hpp"
 #include "sim/flaky_transport.hpp"
 #include "sim/interrogator.hpp"
 #include "sim/rng.hpp"
@@ -310,44 +311,40 @@ std::string trackArmCsv(const TrackArmResult& arm) {
 
 namespace {
 
-void armJson(std::ostringstream& out, const TrackArmResult& arm) {
-  out << "{\"name\":\"" << arm.name << "\",\"windows\":" << arm.windows
-      << ",\"fixes\":" << arm.fixesProduced
-      << ",\"gap_windows\":" << arm.gapWindows
-      << ",\"ghost_windows\":" << arm.ghostWindows
-      << ",\"fix_rmse_cm\":" << arm.fixRmseCm
-      << ",\"track_rmse_cm\":" << arm.trackRmseCm
-      << ",\"coast_max_error_cm\":" << arm.coastMaxErrorCm
-      << ",\"accepted\":" << arm.stats.accepted
-      << ",\"gate_rejects\":" << arm.stats.gateRejects
-      << ",\"verdict_rejects\":" << arm.stats.verdictRejects
-      << ",\"coasts\":" << arm.stats.coasts
-      << ",\"coast_fraction\":" << arm.stats.coastFraction()
-      << ",\"model_switches\":" << arm.stats.modelSwitches
-      << ",\"reinits\":" << arm.stats.reinits
-      << ",\"drops\":" << arm.stats.drops << ",\"final_state\":\""
-      << arm.finalState << "\",\"trajectory_digest\":\""
-      << capture::digestHex(arm.trajectoryDigest) << "\"}";
+void armJson(obs::JsonWriter& w, const char* key, const TrackArmResult& arm) {
+  w.key(key).beginObject();
+  w.field("name", arm.name).field("windows", arm.windows);
+  w.field("fixes", arm.fixesProduced).field("gap_windows", arm.gapWindows);
+  w.field("ghost_windows", arm.ghostWindows);
+  w.field("fix_rmse_cm", arm.fixRmseCm);
+  w.field("track_rmse_cm", arm.trackRmseCm);
+  w.field("coast_max_error_cm", arm.coastMaxErrorCm);
+  w.field("accepted", arm.stats.accepted);
+  w.field("gate_rejects", arm.stats.gateRejects);
+  w.field("verdict_rejects", arm.stats.verdictRejects);
+  w.field("coasts", arm.stats.coasts);
+  w.field("coast_fraction", arm.stats.coastFraction());
+  w.field("model_switches", arm.stats.modelSwitches);
+  w.field("reinits", arm.stats.reinits).field("drops", arm.stats.drops);
+  w.field("final_state", arm.finalState);
+  w.field("trajectory_digest", capture::digestHex(arm.trajectoryDigest));
+  w.end();
 }
 
 }  // namespace
 
 std::string trackJson(const TrackEvalResult& result) {
-  std::ostringstream out;
-  out << std::setprecision(10);
-  out << "{\"clean\":";
-  armJson(out, result.clean);
-  out << ",\"dropout\":";
-  armJson(out, result.dropout);
-  out << ",\"outage\":";
-  armJson(out, result.outage);
-  out << ",\"rmse_ratio\":" << result.rmseRatio
-      << ",\"outage_survived\":" << (result.outageSurvived ? "true" : "false")
-      << ",\"replay_digest1\":\"" << capture::digestHex(result.replayDigest1)
-      << "\",\"replay_digest2\":\"" << capture::digestHex(result.replayDigest2)
-      << "\",\"replay_deterministic\":"
-      << (result.replayDeterministic ? "true" : "false") << "}";
-  return out.str();
+  obs::JsonWriter w;
+  w.beginObject();
+  armJson(w, "clean", result.clean);
+  armJson(w, "dropout", result.dropout);
+  armJson(w, "outage", result.outage);
+  w.field("rmse_ratio", result.rmseRatio);
+  w.field("outage_survived", result.outageSurvived);
+  w.field("replay_digest1", capture::digestHex(result.replayDigest1));
+  w.field("replay_digest2", capture::digestHex(result.replayDigest2));
+  w.field("replay_deterministic", result.replayDeterministic);
+  return w.end().str();
 }
 
 TrackReplayResult runTrackReplay(const std::string& capturePath,

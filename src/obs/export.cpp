@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace tagspin::obs {
 
 namespace {
@@ -16,28 +18,6 @@ std::string num(double v) {
 }
 
 }  // namespace
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string prometheusName(const std::string& name) {
   std::string out = "tagspin_";
@@ -73,46 +53,31 @@ std::string toPrometheus(const MetricsSnapshot& snapshot) {
 
 std::string toJson(const MetricsSnapshot& snapshot,
                    const EventJournal* journal) {
-  std::ostringstream out;
-  out << "{\n  \"counters\": {";
-  for (size_t i = 0; i < snapshot.counters.size(); ++i) {
-    out << (i ? ", " : "") << '"' << jsonEscape(snapshot.counters[i].first)
-        << "\": " << snapshot.counters[i].second;
+  JsonWriter w;
+  w.beginObject().key("counters").beginObject();
+  for (const auto& [name, value] : snapshot.counters) w.field(name, value);
+  w.end().key("gauges").beginObject();
+  for (const auto& [name, value] : snapshot.gauges) w.field(name, value);
+  w.end().key("histograms").beginObject();
+  for (const HistogramView& h : snapshot.histograms) {
+    w.key(h.name).beginObject();
+    w.field("count", h.count).field("sum", h.sum).field("min", h.min);
+    w.field("max", h.max).field("p50", h.p50).field("p90", h.p90);
+    w.field("p99", h.p99).end();
   }
-  out << "},\n  \"gauges\": {";
-  for (size_t i = 0; i < snapshot.gauges.size(); ++i) {
-    out << (i ? ", " : "") << '"' << jsonEscape(snapshot.gauges[i].first)
-        << "\": " << num(snapshot.gauges[i].second);
-  }
-  out << "},\n  \"histograms\": {\n";
-  for (size_t i = 0; i < snapshot.histograms.size(); ++i) {
-    const HistogramView& h = snapshot.histograms[i];
-    out << "    \"" << jsonEscape(h.name) << "\": {\"count\": " << h.count
-        << ", \"sum\": " << num(h.sum) << ", \"min\": " << num(h.min)
-        << ", \"max\": " << num(h.max) << ", \"p50\": " << num(h.p50)
-        << ", \"p90\": " << num(h.p90) << ", \"p99\": " << num(h.p99) << '}'
-        << (i + 1 < snapshot.histograms.size() ? "," : "") << '\n';
-  }
-  out << "  }";
+  w.end();
   if (journal) {
-    out << ",\n  \"events_dropped\": " << journal->dropped();
-    out << ",\n  \"events\": [\n";
-    const std::vector<Event> events = journal->events();
-    for (size_t i = 0; i < events.size(); ++i) {
-      const Event& ev = events[i];
-      out << "    {\"t\": " << num(ev.wallS) << ", \"severity\": \""
-          << severityName(ev.severity) << "\", \"what\": \""
-          << jsonEscape(ev.what) << '"';
-      for (const auto& [key, value] : ev.fields) {
-        out << ", \"" << jsonEscape(key) << "\": \"" << jsonEscape(value)
-            << '"';
-      }
-      out << '}' << (i + 1 < events.size() ? "," : "") << '\n';
+    w.field("events_dropped", journal->dropped());
+    w.key("events").beginArray();
+    for (const Event& ev : journal->events()) {
+      w.beginObject().field("t", ev.wallS);
+      w.field("severity", severityName(ev.severity)).field("what", ev.what);
+      for (const auto& [key, value] : ev.fields) w.field(key, value);
+      w.end();
     }
-    out << "  ]";
+    w.end();
   }
-  out << "\n}\n";
-  return out.str();
+  return w.end().str();
 }
 
 bool writeTextFile(const std::string& path, const std::string& contents,

@@ -72,9 +72,12 @@ ChannelSample BackscatterChannel::observe(
   const std::complex<double> h = complexGain(readerPos, tagPos, lambdaM);
 
   // The reader reports theta = (4*pi/lambda)*d + theta_div (Eqn. 1); with
-  // multipath the geometric term becomes -arg(h).
-  std::normal_distribution<double> phaseNoise(0.0, config_.phaseNoiseStd);
-  double noise = phaseNoise(rng);
+  // multipath the geometric term becomes -arg(h).  Each noise term is
+  // stddev * N(0, 1) from a fresh distribution: the same draw and bits as
+  // N(0, stddev), which requires stddev > 0, while a noiseless channel sets
+  // stddev to 0.
+  double noise =
+      config_.phaseNoiseStd * std::normal_distribution<double>()(rng);
   if (config_.phaseOutlierProb > 0.0) {
     std::uniform_real_distribution<double> coin(0.0, 1.0);
     if (coin(rng) < config_.phaseOutlierProb) {
@@ -86,11 +89,12 @@ ChannelSample BackscatterChannel::observe(
   const double phase = geom::wrapTwoPi(-std::arg(h) + thetaDiv +
                                        orientationPhase + noise);
 
-  std::normal_distribution<double> rssiNoise(0.0, config_.rssiNoiseStdDb);
   const double fading = 20.0 * std::log10(std::max(std::abs(h), 1e-6));
   const double rssi = meanRssiDbm(d, lambdaM, readerGainLinear, tagGainLinear,
                                   txPowerDbm) +
-                      fading + rssiNoise(rng);
+                      fading +
+                      config_.rssiNoiseStdDb *
+                          std::normal_distribution<double>()(rng);
 
   ChannelSample sample;
   sample.phase = phase;

@@ -24,7 +24,8 @@ RigObservation exactObservation(const geom::Vec3& center,
   obs.rig.kinematics = defaultKinematics();
   obs.rig.kinematics.initialAngle = 0.3 * static_cast<double>(seed);
   std::mt19937_64 rng(seed);
-  std::normal_distribution<double> n(0.0, noise);
+  // The distribution requires stddev > 0; at zero noise it is never drawn.
+  std::normal_distribution<double> n(0.0, noise > 0.0 ? noise : 1.0);
   const double lambda = 0.325;
   for (int i = 0; i < 800; ++i) {
     const double t = 30.0 * i / 800.0;

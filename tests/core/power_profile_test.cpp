@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "core/spectrum.hpp"
@@ -25,11 +26,18 @@ ProfileConfig configFor(ProfileFormula f) {
 
 // The central property: every formula peaks at the true reader azimuth in
 // the noiseless case, across directions, radii and formulas.
+//
+// ctest names each case by the bytes of its PeakCase.  `zero` fills what
+// would be four bytes of padding after `formula`, which held whatever was
+// on the stack, so the names changed from build to build.
 struct PeakCase {
   double azimuthDeg;
   double radius;
   ProfileFormula formula;
+  int32_t zero = 0;
 };
+static_assert(sizeof(PeakCase) ==
+              2 * sizeof(double) + sizeof(ProfileFormula) + sizeof(int32_t));
 
 class PeakSweep : public ::testing::TestWithParam<PeakCase> {};
 

@@ -38,7 +38,9 @@ inline std::vector<Snapshot> makeSnapshots(
     const SyntheticConfig& cfg,
     const RigKinematics& kin = defaultKinematics()) {
   std::mt19937_64 rng(cfg.seed);
-  std::normal_distribution<double> noise(0.0, cfg.noiseStd);
+  // The distribution requires stddev > 0; at zero noise it is never drawn.
+  std::normal_distribution<double> noise(
+      0.0, cfg.noiseStd > 0.0 ? cfg.noiseStd : 1.0);
   std::uniform_real_distribution<double> coin(0.0, 1.0);
   std::uniform_real_distribution<double> burst(-geom::kPi, geom::kPi);
 
